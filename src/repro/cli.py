@@ -179,9 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--engine", default="numpy",
                            choices=("python", "numpy", "numpy_batch",
                                     "native"),
-                           help="SLAM row engine: python (pseudocode), numpy "
-                                "(per-row, default), numpy_batch "
-                                "(block-vectorized), or native (fused C "
+                           help="SLAM sweep engine: python (pseudocode), "
+                                "numpy (default; block-vectorized under the "
+                                "slam_bucket methods, per-row under "
+                                "slam_sort), numpy_batch (alias of the "
+                                "bucket numpy engine), or native (fused C "
                                 "loop + OpenMP; fastest, needs the compiled "
                                 "extension -- see docs/native.md)")
     p_compute.add_argument("--workers", type=_parse_workers, default=1,

@@ -164,14 +164,15 @@ def compute_kdv(
     method:
         One of :func:`method_names`.
     engine:
-        ``"numpy"`` (vectorized per row, default), ``"python"`` (literal
-        transcription of the published pseudocode), ``"numpy_batch"``
-        (whole row blocks in O(1) array calls; bit-identical to ``"numpy"``
-        under the bucket methods — see :mod:`repro.core.batch`), or
-        ``"native"`` (fused C loop with OpenMP row parallelism, bit-identical
-        to ``"numpy_batch"``; registered only when the optional extension is
-        compiled — see :mod:`repro.core.native` and ``docs/native.md``)
-        where available.
+        ``"numpy"`` (default), ``"python"`` (literal transcription of the
+        published pseudocode), ``"numpy_batch"``, or ``"native"``.  Under
+        the bucket methods ``"numpy"`` sweeps whole row blocks in O(1)
+        array calls (see :mod:`repro.core.batch`) and ``"numpy_batch"`` is
+        its alias; under ``slam_sort`` it is the per-row vectorized sort.
+        ``"native"`` (bucket methods only) is a fused C loop with OpenMP
+        row parallelism, bit-identical to ``"numpy"``; it is registered
+        only when the optional extension is compiled — see
+        :mod:`repro.core.native` and ``docs/native.md``.
     normalization:
         ``"none"`` (raw kernel sums, w = 1), ``"count"`` (w = 1/n, default;
         1/total-weight for weighted datasets), or ``"density"`` (proper 2-D
@@ -218,7 +219,7 @@ def compute_kdv(
         Extra options forwarded to the method (e.g. ``tolerance`` for aKDE,
         ``sample_size`` for Z-order, ``leaf_size`` for tree methods,
         ``backend`` for the SLAM methods, ``max_block_bytes`` for the
-        ``numpy_batch`` engine).
+        bucket methods' ``numpy`` engine).
 
     Returns
     -------

@@ -1,26 +1,31 @@
-"""Block-vectorized batch sweep engine (``numpy_batch``).
+"""Block-vectorized bucket sweep engine — SLAM_BUCKET's ``numpy`` engine.
 
-The per-row drivers in :mod:`repro.core.sweep` execute a Python-level loop
-over all ``Y`` pixel rows — each iteration doing an envelope slice,
-``row_frame``, ``channel_values``, and a row-engine call, i.e. roughly fifty
-NumPy dispatches per row.  At realistic resolutions that interpreter and
-dispatch overhead is a fixed ~0.1 s tax per sweep, which dominates wall clock
+This is the engine behind ``engine="numpy"`` (the default) under the bucket
+methods; ``"numpy_batch"`` is an alias of it.  The per-row driver in
+:mod:`repro.core.sweep` executes a Python-level loop over all ``Y`` pixel
+rows — each iteration doing an envelope slice, ``row_frame``,
+``channel_values``, and a row-engine call, i.e. roughly fifty NumPy
+dispatches per row.  At realistic resolutions that interpreter and dispatch
+overhead is a fixed ~0.1 s tax per sweep, which dominates wall clock
 whenever the envelopes are small (sharp bandwidths, the regime where SLAM's
 per-row cost is lowest).  This module removes the loop: one engine call
 computes an entire contiguous row block with a handful of whole-block array
-operations.
+operations.  The per-row vectorized Algorithm 2
+(:func:`repro.core.slam_bucket.slam_bucket_row_numpy`) stays as the test
+oracle this engine is pinned to.
 
 The batched pipeline (mirroring the serial one stage for stage):
 
 1. **Vectorized envelope extraction** — two ``searchsorted`` calls over the
-   y-sorted index yield every row's ``[lo, hi)`` envelope slice at once;
-   ``repeat``/``arange`` expand them into a flat ``(total_pairs,)`` array of
-   (row, point) pairs, emitted in exactly the per-row order of the serial
-   loop.
+   y-sorted index yield every row's ``[lo, hi)`` envelope slice at once.
+   Each row's pairs are that contiguous slice of the sorted arrays, so the
+   flat ``(total_pairs,)`` per-pair arrays are the concatenation of the
+   rows' slices — emitted in exactly the per-row order of the serial loop,
+   with no pair index to build or gather through.
 2. **One frame + channel evaluation for all pairs** — the scaled x offset
    ``u = (p.x - cx) / b`` (and ``u^2``) is row-independent, so it is computed
-   once per *point* and gathered per pair; only ``v`` (and quantities built
-   from it) is per-pair.  Today the serial loop recomputes these per row for
+   once per *point* of the block's envelope window and copied per pair; only
+   ``v`` (and quantities built from it) is per-pair.  The serial loop recomputes these per row for
    every row a point's envelope covers — about ``2b/gy`` times per point.
 3. **Bucket assignment for all pairs at once** — the same arithmetic
    ``bucket_indices`` as ``slam_bucket_row_numpy``, applied to the flat
@@ -55,11 +60,11 @@ Memory bounding
 Materializing all pairs of a tall block at once would thrash caches (and can
 exceed RAM), so blocks are internally chunked by the ``max_block_bytes``
 knob: chunk boundaries bound both the difference tensor
-(``rows × (X+1) × nch`` float64) and the per-pair working set (about a dozen
-float64/int64 arrays of ``total_pairs`` elements).  The default (2 MB) keeps
-the per-chunk working set resident in the CPU cache — measured fastest
-across 256 KB..16 MB — and chunking never changes results, because each
-row's pairs stay contiguous and whole.
+(``rows × (X+1) × nch`` float64) and the per-pair working set (about
+eleven float64/int64 arrays of ``total_pairs`` elements).  The default
+(2 MB) keeps the per-chunk working set resident in the CPU cache — measured
+fastest across 256 KB..16 MB — and chunking never changes results, because
+each row's pairs stay contiguous and whole.
 """
 
 from __future__ import annotations
@@ -88,9 +93,10 @@ __all__ = ["NumpyBatchEngine", "numpy_batch_grid", "DEFAULT_MAX_BLOCK_BYTES"]
 #: workload.  Raising it trades locality for fewer chunk iterations.
 DEFAULT_MAX_BLOCK_BYTES = 2 * 1024 * 1024
 
-#: Bytes of per-pair working state: u, v, half, lb, ub, s, enter, leave and
-#: assorted temporaries — about a dozen 8-byte arrays per pair.
-_BYTES_PER_PAIR = 96
+#: Bytes of per-pair working state: the float64 scratch (u, v, v², half, lb,
+#: ub, and up to s, s·u, s², u², w), the int64 row base, enter and leave —
+#: about eleven 8-byte arrays per pair.
+_BYTES_PER_PAIR = 88
 
 #: Channel indices whose recombination weight is a pure ``qy`` factor, making
 #: them exactly ``±0.0`` at ``qy = 0`` (see module docstring): ``y`` (2) for
@@ -155,8 +161,9 @@ class NumpyBatchEngine:
             # The channel construction below hardcodes which channels are
             # live at qy = 0 per kernel; refuse kernels it does not know.
             raise ValueError(
-                "engine 'numpy_batch' supports the built-in SLAM kernels "
-                f"(uniform, epanechnikov, quartic); got {kernel.name!r}"
+                "engine 'numpy' (alias 'numpy_batch') supports the built-in "
+                "SLAM kernels (uniform, epanechnikov, quartic); got "
+                f"{kernel.name!r}"
             )
         out = np.zeros((num_rows, num_pixels), dtype=np.float64)
         if num_rows <= 0:
@@ -172,12 +179,10 @@ class NumpyBatchEngine:
         # Stage 1: every row's envelope slice from two searchsorted calls,
         # plus the row-independent per-point precomputation.
         ks = y_centers[start:stop]
-        sorted_y = ysorted.sorted_y
-        lo_all = np.searchsorted(sorted_y, ks - bandwidth, side="left")
-        hi_all = np.searchsorted(sorted_y, ks + bandwidth, side="right")
+        all_y = ysorted.sorted_y
+        lo_all = np.searchsorted(all_y, ks - bandwidth, side="left")
+        hi_all = np.searchsorted(all_y, ks + bandwidth, side="right")
         counts_all = hi_all - lo_all
-        point_u = (ysorted.sorted_xy[:, 0] - cx) / bandwidth
-        point_u2 = point_u * point_u if nch > 1 else None
 
         nonempty_rows = int(np.count_nonzero(counts_all))
         total_pairs = int(counts_all.sum())
@@ -189,6 +194,18 @@ class NumpyBatchEngine:
                     envelope_seconds, bucket_seconds, sweep_seconds,
                 )
             return out
+
+        # Every pair reads a point of the block's envelope union
+        # [first, last), so the per-point arrays cover only that window: a
+        # tile or a shard band pays for its own points, not the dataset's.
+        first, last = int(lo_all.min()), int(hi_all.max())
+        lo_all -= first
+        hi_all -= first
+        sorted_y = all_y[first:last]
+        point_u = (ysorted.sorted_xy[first:last, 0] - cx) / bandwidth
+        point_u2 = point_u * point_u if nch > 1 else None
+        if sorted_weights is not None:
+            sorted_weights = sorted_weights[first:last]
 
         # Chunk boundaries: bound both the difference tensor and the pair
         # working set by max_block_bytes (see module docstring).  Boundaries
@@ -243,25 +260,34 @@ class NumpyBatchEngine:
             if num_nz == 0:
                 continue
             counts = counts_all[row0:row1][rows_nz]
-            lo = lo_all[row0:row1][rows_nz]
             total = int(counts.sum())
 
-            # Flat (row, point) pair expansion, row-major like the serial
-            # loop: pair p of row r maps to sorted-point index
-            # lo[r] + (p - offsets[r]).  The scatter destination is the
-            # *compressed* row slot (0..num_nz-1, the difference array's
-            # leading axis), not the chunk-relative position in rows_nz.
-            offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
+            # Flat (row, point) pairs, row-major like the serial loop: row
+            # r's pairs are the contiguous sorted-point slice [lo[r], hi[r]),
+            # so every per-pair array is the concatenation of those slices.
+            # The scatter destination is the *compressed* row slot
+            # (0..num_nz-1, the difference array's leading axis), not the
+            # chunk-relative position in rows_nz.
+            spans = [
+                slice(a, b)
+                for a, b in zip(
+                    lo_all[row0:row1][rows_nz].tolist(),
+                    hi_all[row0:row1][rows_nz].tolist(),
+                )
+            ]
             row_base = np.repeat(
                 np.arange(num_nz, dtype=np.int64) * (num_pixels + 1), counts
             )
-            pt = np.arange(total, dtype=np.int64)
-            pt += np.repeat(lo - offsets, counts)
+
+            def pairs(values: np.ndarray, name: str) -> np.ndarray:
+                return np.concatenate(
+                    [values[s] for s in spans], out=buf[name][:total]
+                )
 
             # Stage 2: scaled local frame + channel values for all pairs.
-            # u is gathered from the per-point precomputation; v is per-pair.
-            u = np.take(point_u, pt, out=buf["u"][:total])
-            v = np.take(ysorted.sorted_y, pt, out=buf["v"][:total])
+            # u comes from the per-point precomputation; v is per-pair.
+            u = pairs(point_u, "u")
+            v = pairs(sorted_y, "v")
             v -= np.repeat(ks[row0:row1][rows_nz], counts)
             v /= bandwidth
             v2 = np.multiply(v, v, out=buf["v2"][:total])
@@ -277,21 +303,19 @@ class NumpyBatchEngine:
             # s = x*x + y*y with x = u (precomputed square) and y = v.
             chan_weights: dict[int, np.ndarray | None] = {0: None}
             if nch > 1:
-                s = np.take(point_u2, pt, out=buf["s"][:total])
+                s = pairs(point_u2, "s")
                 s += v2
                 chan_weights[1] = u
                 chan_weights[3] = s
                 if nch > 4:
                     chan_weights[4] = np.multiply(s, u, out=buf["su"][:total])
                     chan_weights[6] = np.multiply(s, s, out=buf["ss"][:total])
-                    chan_weights[7] = np.take(
-                        point_u2, pt, out=buf["u2g"][:total]
-                    )
+                    chan_weights[7] = pairs(point_u2, "u2g")
             if sorted_weights is not None:
                 # In-place: every value above is already a private scratch
                 # view, and a*w elementwise equals the old out-of-place
                 # product bit for bit.
-                w = np.take(sorted_weights, pt, out=buf["w"][:total])
+                w = pairs(sorted_weights, "w")
                 for c, a in chan_weights.items():
                     if a is None:
                         chan_weights[c] = w

@@ -71,13 +71,19 @@ def bucket_indices(
     an endpoint coincides with a pixel center (or within one ulp of it), so
     each index gets a one-step correction against the actual pixel
     coordinates; rounding error is far below one pixel gap, so a single
-    step suffices.  The corrections add boolean masks directly (False adds
-    0), which is equivalent to masked assignment but avoids the fancy-index
-    round trip on the hot path.
+    step suffices.  Each correction is one gather into the pixel centers
+    padded with ``-inf``/``+inf``: an index at either end of the row reads
+    a sentinel whose comparison is always false (``+inf < lb``,
+    ``-inf >= lb`` and their ``ub`` twins), so no bounds mask or clamped
+    index is needed.  The boolean results are added directly (False adds
+    0).
     """
     num_pixels = len(xs)
     x0 = xs[0]
     gx = xs[1] - xs[0] if num_pixels > 1 else 1.0
+    padded = np.concatenate(([-np.inf], xs, [np.inf]))
+    at = padded[1:]  # at[i] = xs[i], at[X] = +inf
+    before = padded[:-1]  # before[i] = xs[i - 1], before[0] = -inf
 
     enter = np.ceil((lb - x0) / gx).astype(np.int64)
     np.clip(enter, 0, num_pixels, out=enter)
@@ -85,9 +91,9 @@ def bucket_indices(
     leave += 1
     np.clip(leave, 0, num_pixels, out=leave)
 
-    enter += (enter < num_pixels) & (xs[np.minimum(enter, num_pixels - 1)] < lb)
-    enter -= (enter > 0) & (xs[np.maximum(enter - 1, 0)] >= lb)
+    enter += at[enter] < lb
+    enter -= before[enter] >= lb
 
-    leave += (leave < num_pixels) & (xs[np.minimum(leave, num_pixels - 1)] <= ub)
-    leave -= (leave > 0) & (xs[np.maximum(leave - 1, 0)] > ub)
+    leave += at[leave] <= ub
+    leave -= before[leave] > ub
     return enter, leave

@@ -83,7 +83,7 @@ def _unavailable_error() -> RuntimeError:
     return RuntimeError(
         "the native sweep extension (repro.core._native_sweep) is not "
         "built; run `python setup.py build_ext --inplace` with a C "
-        "toolchain, or use the numpy_batch engine (bit-identical, pure "
+        "toolchain, or use the default numpy engine (bit-identical, pure "
         "python) — see docs/native.md"
     )
 
@@ -205,8 +205,8 @@ def native_grid(
     parallelism happens inside the C loop, so the in-process executors have
     nothing to do — except ``backend="dist"``, which shards across a
     :class:`repro.dist.Coordinator` pool as usual, each worker running the
-    native engine (or its bit-identical ``numpy_batch`` fallback when the
-    worker's checkout has no compiled extension).
+    native engine (or its bit-identical ``numpy`` block-engine fallback when
+    the worker's checkout has no compiled extension).
     """
     if not NATIVE_AVAILABLE:
         raise _unavailable_error()

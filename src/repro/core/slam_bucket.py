@@ -132,12 +132,13 @@ def slam_bucket_row_numpy(
     return out
 
 
-#: Grid-level SLAM_BUCKET, engine selected by the caller.  ``numpy_batch``
-#: computes whole row blocks in O(1) NumPy calls (see repro.core.batch) and
-#: is bit-identical to the per-row ``numpy`` engine.
+#: Grid-level SLAM_BUCKET, engine selected by the caller.  ``numpy`` is the
+#: whole-block sweep of repro.core.batch (O(1) NumPy calls per row block),
+#: bit-identical to the per-row :func:`slam_bucket_row_numpy`, which stays
+#: only as its test oracle; ``numpy_batch`` is an alias of it.
 slam_bucket_grid = {
     "python": make_grid_function(slam_bucket_row_python),
-    "numpy": make_grid_function(slam_bucket_row_numpy),
+    "numpy": numpy_batch_grid,
     "numpy_batch": numpy_batch_grid,
 }
 

@@ -33,9 +33,7 @@ from time import perf_counter
 import numpy as np
 
 from ..obs import Recorder
-from .batch import numpy_batch_grid
 from .kernels import Kernel
-from .native import NATIVE_AVAILABLE, native_grid
 from .sweep import PHASE_ENDPOINT_SORT, PHASE_PREFIX_SWEEP, make_grid_function
 
 __all__ = [
@@ -130,18 +128,10 @@ def slam_sort_row_numpy(
     return out
 
 
-#: Grid-level SLAM_SORT, engine selected by the caller.  ``numpy_batch`` is
-#: registered here too so the engine choice is uniform across the SLAM
-#: methods; it always buckets (Algorithm 2 semantics, see repro.core.batch),
-#: so under slam_sort it agrees with the sort engines to float tolerance and
-#: with the slam_bucket numpy engine bit-for-bit.
+#: Grid-level SLAM_SORT, engine selected by the caller.  Only engines that
+#: sort are listed: the block engines (``numpy_batch``, ``native``) bucket,
+#: so they belong to the slam_bucket table alone.
 slam_sort_grid = {
     "python": make_grid_function(slam_sort_row_python),
     "numpy": make_grid_function(slam_sort_row_numpy),
-    "numpy_batch": numpy_batch_grid,
 }
-
-# ``native`` always buckets (bit-identical to the slam_bucket numpy engine),
-# mirroring numpy_batch's registration rationale above.
-if NATIVE_AVAILABLE:
-    slam_sort_grid["native"] = native_grid

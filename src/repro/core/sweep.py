@@ -356,7 +356,7 @@ def sweep_kdv(
     t0 = time.perf_counter()
     row_args = (y_centers, xs_scaled, ysorted, cx, bandwidth, kernel, row_engine)
     row_kwargs = {"sorted_weights": sorted_weights}
-    # Whole-block engines (duck-typed on `sweep_block`, e.g. the numpy_batch
+    # Whole-block engines (duck-typed on `sweep_block`, e.g. the bucket numpy
     # engine) replace the per-row Python loop with the batched driver; the
     # block partitioning, worker dispatch, and recorder merging are shared.
     if hasattr(row_engine, "sweep_block"):

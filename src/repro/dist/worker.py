@@ -73,8 +73,10 @@ __all__ = [
 ]
 
 #: Wire names for the per-row engines.  Only names in this table (plus the
-#: ``numpy_batch`` spec kind) can cross the wire — workers never unpickle
-#: callables, so a coordinator cannot make a worker run arbitrary code.
+#: ``batch`` and ``native`` spec kinds of the block engines) can cross the
+#: wire — workers never unpickle callables, so a coordinator cannot make a
+#: worker run arbitrary code.  ``slam_bucket.numpy`` names the per-row
+#: oracle; the default bucket engine travels as a ``batch`` spec.
 ROW_ENGINES = {
     "slam_sort.python": slam_sort_row_python,
     "slam_sort.numpy": slam_sort_row_numpy,
@@ -99,7 +101,7 @@ def engine_spec(row_engine) -> dict:
             return {"kind": "row", "name": name}
     raise DistError(
         f"engine {row_engine!r} has no wire name; distributable engines are "
-        f"{sorted(ROW_ENGINES)}, numpy_batch, and native"
+        f"{sorted(ROW_ENGINES)}, the numpy block engine, and native"
     )
 
 
@@ -118,7 +120,7 @@ def resolve_row_engine(spec: dict):
             return NativeEngine(threads=threads)
         # Bit-identical fallback: a worker whose checkout has no compiled
         # extension still computes the exact same grid (the native engine's
-        # contract is bit-identity with numpy_batch), just slower.
+        # contract is bit-identity with the numpy block engine), just slower.
         return NumpyBatchEngine()
     if spec["kind"] == "row":
         try:

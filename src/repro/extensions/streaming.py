@@ -44,8 +44,10 @@ class StreamingKDV:
     method:
         Any *exact* registered method; SLAM_BUCKET^(RAO) by default.
     engine:
-        Row engine forwarded to the method (``"numpy"`` default;
-        ``"numpy_batch"`` is bit-identical and faster for large ticks).
+        Sweep engine forwarded to the method.  The default ``"numpy"`` is
+        the block-vectorized bucket sweep under the ``slam_bucket`` methods
+        (``"numpy_batch"`` is its alias), so each delta costs a handful of
+        whole-block array passes rather than a Python loop over rows.
     rebuild_every:
         Full recomputation after this many delete batches, bounding float
         cancellation drift (set ``None`` to disable).

@@ -241,7 +241,7 @@ def pyramid_grid(
     bandwidth: float,
     kernel: str = "epanechnikov",
     method: str = "slam_bucket_rao",
-    engine: str = "numpy_batch",
+    engine: str = "numpy",
     ysorted=None,
 ) -> np.ndarray:
     """Exact KDV at ``1/2^level`` resolution, upsampled back to ``size``.
@@ -251,10 +251,9 @@ def pyramid_grid(
     render is ``compute_kdv`` at ``max(1, size // 2^level)`` per axis with
     ``normalization="none"`` and the upsample is
     :func:`~repro.extensions.progressive.upsample_preview`.  Degraded
-    renders run synchronously on request threads, so the default engine is
-    the block-vectorized ``numpy_batch`` (bit-identical to ``numpy``,
-    pinned by the engine-equivalence tests, materially cheaper in the
-    small-workload regime these tiers live in).
+    renders run synchronously on request threads; the default ``numpy``
+    engine is the block-vectorized bucket sweep, which suits the
+    small-workload regime these tiers live in.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
@@ -285,7 +284,7 @@ def coreset_grid(
     bandwidth: float,
     kernel: str = "epanechnikov",
     method: str = "slam_bucket_rao",
-    engine: str = "numpy_batch",
+    engine: str = "numpy",
     order: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Full-resolution KDV of a Z-order coreset, scaled back to ``n/m``.
@@ -294,12 +293,12 @@ def coreset_grid(
     :func:`~repro.baselines.zorder.zorder_sample`; evaluation runs through
     the configured (SLAM) ``method`` instead of the chunked SCAN baseline —
     mathematically identical, materially faster.  The default ``engine``
-    is ``numpy_batch`` (see :func:`pyramid_grid`): a small-``m`` sample
-    swept at full resolution is exactly the per-row-overhead-dominated
-    regime the batch engine targets.  ``order`` accepts a precomputed
-    ``zorder_argsort`` of the points (the service caches one per ingest
-    generation); ``sample_size >= n`` degenerates to the exact render of
-    all points.
+    is the block-vectorized ``numpy`` sweep (see :func:`pyramid_grid`): a
+    small-``m`` sample swept at full resolution is exactly the
+    per-row-overhead-dominated regime it targets.  ``order`` accepts a
+    precomputed ``zorder_argsort`` of the points (the service caches one per
+    ingest generation); ``sample_size >= n`` degenerates to the exact render
+    of all points.
     """
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")

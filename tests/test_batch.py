@@ -1,15 +1,21 @@
-"""Tests for the block-vectorized ``numpy_batch`` sweep engine.
+"""Tests for the block-vectorized bucket sweep — SLAM_BUCKET's ``numpy``
+engine (``numpy_batch`` is its alias).
 
 The engine's contract (repro.core.batch) has two halves:
 
-* **bit-identity** — under the bucket methods it returns grids that are
-  ``np.array_equal`` to the per-row ``numpy`` engine, for every kernel,
-  weighting, worker count, backend, RAO orientation, and ``max_block_bytes``
-  setting (the python engine agrees to float tolerance, as it already does
-  with per-row numpy under slam_sort);
+* **bit-identity** — it returns grids that are ``np.array_equal`` to
+  :func:`repro.core.sweep.sweep_kdv` driving the per-row oracle
+  ``slam_bucket_row_numpy``, for every kernel, bandwidth, weighting, worker
+  count, backend, RAO orientation, raster sub-region, and
+  ``max_block_bytes`` setting (the python engine agrees to float
+  tolerance).  The block engines bucket, so they are registered under the
+  bucket methods only; ``slam_sort`` rejects them;
 * **serial-equal observability** — recorder counters and phase-timer call
   counts match the per-row serial sweep exactly, so dashboards cannot tell
   the engines apart except by the seconds.
+
+Since ``compute_kdv(engine="numpy")`` *is* this engine, every exactness
+check below compares against the per-row oracle, never against the alias.
 """
 
 from __future__ import annotations
@@ -29,11 +35,17 @@ from repro.core.bounds import bucket_indices
 from repro.core.envelope import YSortedIndex
 from repro.core.kernels import get_kernel
 from repro.core.native import NATIVE_AVAILABLE, native_grid
+from repro.core.rao import with_rao
 from repro.core.slam_bucket import slam_bucket_row_numpy
-from repro.core.sweep import sweep_kdv
+from repro.core.sweep import make_grid_function, sweep_kdv
 from repro.obs import Recorder
+from repro.viz.bandwidth import resolve_bandwidth
 
 KERNEL_NAMES = ("uniform", "epanechnikov", "quartic")
+
+#: The per-row oracle as a grid function (the same driver the default
+#: engine replaced), for comparisons through RAO.
+_oracle_grid = make_grid_function(slam_bucket_row_numpy)
 
 
 @pytest.fixture(scope="module")
@@ -49,15 +61,19 @@ def cluster_weights(cluster_xy) -> np.ndarray:
 
 
 def _grids(xy, raster, kernel_name, bandwidth, engine, **kwargs):
-    table = {"numpy": slam_bucket_row_numpy}
+    """``engine="rows"`` is the per-row oracle; ``"numpy"`` the default
+    block engine."""
     kernel = get_kernel(kernel_name)
-    if engine == "numpy_batch":
+    if engine == "numpy":
         return numpy_batch_grid(xy, raster, kernel, bandwidth, **kwargs)
-    return sweep_kdv(xy, raster, kernel, bandwidth, table[engine], **kwargs)
+    assert engine == "rows", engine
+    return sweep_kdv(
+        xy, raster, kernel, bandwidth, slam_bucket_row_numpy, **kwargs
+    )
 
 
 class TestBitIdentity:
-    """numpy_batch == per-row numpy, bit for bit (acceptance criterion c)."""
+    """The default block engine == the per-row oracle, bit for bit."""
 
     @pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
     @pytest.mark.parametrize("weighted", (False, True))
@@ -66,30 +82,36 @@ class TestBitIdentity:
     ):
         raster = Raster(Region(0.0, 0.0, 100.0, 80.0), 64, 48)
         w = cluster_weights if weighted else None
-        a = _grids(cluster_xy, raster, kernel_name, 9.0, "numpy", weights=w)
-        b = _grids(cluster_xy, raster, kernel_name, 9.0, "numpy_batch", weights=w)
+        a = _grids(cluster_xy, raster, kernel_name, 9.0, "rows", weights=w)
+        b = _grids(cluster_xy, raster, kernel_name, 9.0, "numpy", weights=w)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("backend", ("thread", "process"))
     def test_parallel_workers(self, backend, cluster_xy):
         raster = Raster(Region(0.0, 0.0, 100.0, 80.0), 48, 40)
-        serial = _grids(cluster_xy, raster, "epanechnikov", 9.0, "numpy_batch")
+        serial = _grids(cluster_xy, raster, "epanechnikov", 9.0, "rows")
         parallel = _grids(
-            cluster_xy, raster, "epanechnikov", 9.0, "numpy_batch",
+            cluster_xy, raster, "epanechnikov", 9.0, "numpy",
             workers=3, backend=backend,
         )
         assert np.array_equal(serial, parallel)
 
     @pytest.mark.parametrize("size", ((48, 36), (36, 48)))
     def test_rao_both_orientations(self, size, cluster_xy):
-        """Through the public API, under RAO, for both sweep orientations."""
+        """Through the public API, under RAO, for both sweep orientations:
+        the default engine and its ``numpy_batch`` alias against the
+        per-row oracle."""
+        region = Region(0.0, 0.0, 100.0, 80.0)
         kw = dict(
-            region=Region(0.0, 0.0, 100.0, 80.0), size=size, bandwidth=9.0,
+            region=region, size=size, bandwidth=9.0,
             method="slam_bucket_rao", normalization="none",
         )
-        a = compute_kdv(cluster_xy, engine="numpy", **kw).grid
-        b = compute_kdv(cluster_xy, engine="numpy_batch", **kw).grid
-        assert np.array_equal(a, b)
+        oracle = with_rao(_oracle_grid)(
+            cluster_xy, Raster(region, *size), get_kernel("epanechnikov"), 9.0
+        )
+        for engine in ("numpy", "numpy_batch"):
+            got = compute_kdv(cluster_xy, engine=engine, **kw).grid
+            assert np.array_equal(oracle, got), engine
 
     @pytest.mark.parametrize(
         "max_block_bytes",
@@ -99,9 +121,9 @@ class TestBitIdentity:
         """Every chunk boundary placement — from one row per chunk to the
         whole block in one chunk — produces the same bits."""
         raster = Raster(Region(0.0, 0.0, 100.0, 80.0), 40, 30)
-        reference = _grids(cluster_xy, raster, "quartic", 9.0, "numpy")
+        reference = _grids(cluster_xy, raster, "quartic", 9.0, "rows")
         got = _grids(
-            cluster_xy, raster, "quartic", 9.0, "numpy_batch",
+            cluster_xy, raster, "quartic", 9.0, "numpy",
             max_block_bytes=max_block_bytes,
         )
         assert np.array_equal(reference, got)
@@ -197,6 +219,106 @@ def test_batch_parity_property(
     if NATIVE_AVAILABLE:
         d = native_grid(xy, raster, kernel, b, weights=weights, workers=threads)
         assert np.array_equal(a, d)
+
+
+#: Bandwidths of the parity matrix: a fraction of the pixel pitch (every
+#: envelope a sliver, most intervals between two pixel centres) and
+#: multiples of Scott's rule.
+_BANDWIDTHS = ("subpixel", 0.25, 1.0, 3.0)
+
+
+class TestDefaultEngineParityMatrix:
+    """``compute_kdv``'s default engine against the per-row oracle through
+    RAO: kernels x bandwidths x weighting x sweep orientation x region."""
+
+    @pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
+    @pytest.mark.parametrize("bandwidth", _BANDWIDTHS)
+    @pytest.mark.parametrize("weighted", (False, True))
+    @pytest.mark.parametrize(
+        "size", ((48, 36), (36, 48)), ids=("rao_rows", "rao_columns")
+    )
+    @pytest.mark.parametrize("where", ("bbox", "tile"))
+    def test_default_equals_row_oracle(
+        self, kernel_name, bandwidth, weighted, size, where,
+        cluster_xy, cluster_weights,
+    ):
+        region = Region.from_points(cluster_xy)
+        if where == "tile":
+            # an off-centre sub-region, the way a map tile cuts the data:
+            # points outside it still reach in through their envelopes
+            x0, y0 = region.xmin, region.ymin
+            w, h = region.width, region.height
+            region = Region(x0 + 0.55 * w, y0 + 0.15 * h,
+                            x0 + 0.80 * w, y0 + 0.45 * h)
+        raster = Raster(region, *size)
+        if bandwidth == "subpixel":
+            b = 0.4 * min(raster.gx, raster.gy)
+        else:
+            b = bandwidth * resolve_bandwidth("scott", cluster_xy)
+        w = cluster_weights if weighted else None
+        got = compute_kdv(
+            cluster_xy, region=region, size=size, kernel=kernel_name,
+            bandwidth=b, weights=w, normalization="none",
+        ).grid
+        oracle = with_rao(_oracle_grid)(
+            cluster_xy, raster, get_kernel(kernel_name), b, weights=w
+        )
+        assert got.any()
+        assert np.array_equal(oracle, got)
+
+
+def _pixel_centres(draw) -> np.ndarray:
+    """Scaled pixel centres exactly as the sweep builds them: a raster's
+    x centres shifted to its middle and divided by the bandwidth."""
+    width = draw(st.integers(1, 64))
+    xmin = draw(st.floats(-1e6, 1e6, allow_nan=False))
+    extent = draw(st.floats(1e-3, 1e5, allow_nan=False))
+    raster = Raster(Region(xmin, 0.0, xmin + extent, 1.0), width, 1)
+    b = extent * draw(st.floats(1e-3, 10.0, allow_nan=False))
+    cx = (raster.region.xmin + raster.region.xmax) / 2.0
+    return (raster.x_centers() - cx) / b
+
+
+@st.composite
+def _centres_and_endpoints(draw):
+    xs = _pixel_centres(draw)
+    gap = xs[1] - xs[0] if len(xs) > 1 else 1.0
+    endpoint = st.one_of(
+        # on a pixel centre, or one ulp either side of it
+        st.tuples(
+            st.integers(0, len(xs) - 1),
+            st.sampled_from((0, -1, 1)),
+        ).map(
+            lambda t: float(
+                xs[t[0]] if t[1] == 0
+                else np.nextafter(xs[t[0]], t[1] * np.inf)
+            )
+        ),
+        # anywhere near the row, including between centres
+        st.floats(-2.0, 2.0).map(
+            lambda f: float(xs[0] + f * (xs[-1] - xs[0] + gap))
+        ),
+        # far outside the raster on either side
+        st.floats(1.0, 1e9).flatmap(
+            lambda d: st.sampled_from((xs[0] - d * gap, xs[-1] + d * gap))
+        ),
+    )
+    lb = draw(st.lists(endpoint, min_size=1, max_size=40))
+    ub = draw(st.lists(endpoint, min_size=len(lb), max_size=len(lb)))
+    return xs, np.array(lb), np.array(ub)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_centres_and_endpoints())
+def test_bucket_indices_match_searchsorted(case):
+    """The O(1) bucket assignment (padded one-gather corrections) equals the
+    binary search it replaces, on the edges where the arithmetic index is
+    off by one: endpoints on pixel centres and one ulp either side, endpoints
+    far outside the raster, and one-pixel rows."""
+    xs, lb, ub = case
+    enter, leave = bucket_indices(xs, lb, ub)
+    np.testing.assert_array_equal(enter, np.searchsorted(xs, lb, "left"))
+    np.testing.assert_array_equal(leave, np.searchsorted(xs, ub, "right"))
 
 
 class TestBatchEdgeCases:
@@ -304,8 +426,8 @@ class TestRecorderParity:
         return rec.snapshot()
 
     def test_counters_and_calls_match_serial_rowwise(self, cluster_xy):
-        serial = self._snapshot("numpy", cluster_xy)
-        batch = self._snapshot("numpy_batch", cluster_xy)
+        serial = self._snapshot("rows", cluster_xy)
+        batch = self._snapshot("numpy", cluster_xy)
         assert batch["counters"] == serial["counters"]
         for phase in ("sweep.envelope_update", "sweep.endpoint_bucket",
                       "sweep.prefix_sweep"):
@@ -313,9 +435,9 @@ class TestRecorderParity:
                 serial["phases"][phase]["calls"], phase
 
     def test_parallel_merge_equals_serial(self, cluster_xy):
-        serial = self._snapshot("numpy_batch", cluster_xy)
+        serial = self._snapshot("numpy", cluster_xy)
         merged = self._snapshot(
-            "numpy_batch", cluster_xy, workers=3, backend="thread"
+            "numpy", cluster_xy, workers=3, backend="thread"
         )
         # sweep.blocks legitimately reflects the partitioning; every
         # row/envelope count must still merge to the serial totals.

@@ -7,9 +7,9 @@ Two availability regimes, both first-class:
   with the standard unknown-engine error naming the engines that *are*
   available, and the CLI adds a build hint.  These tests always run.
 * **Compiled checkout**: the parity suite pins the engine bit-identical to
-  ``numpy_batch`` (and hence to the per-row numpy engine) across kernels,
-  weights, thread counts, and RAO orientations; skip-marked when the
-  extension is absent.
+  the default ``numpy`` block engine (and hence to the per-row
+  ``slam_bucket_row_numpy`` oracle) across kernels, weights, thread counts,
+  and RAO orientations; skip-marked when the extension is absent.
 
 The shm transport tests exercise the tentpole's second layer end to end:
 <1 KB of TCP per shard, bit-identical grids, pickle parity, runtime
@@ -88,7 +88,8 @@ class TestAvailability:
         from repro.core.slam_sort import slam_sort_grid
 
         assert ("native" in slam_bucket_grid) == NATIVE_AVAILABLE
-        assert ("native" in slam_sort_grid) == NATIVE_AVAILABLE
+        # native buckets, so the sorting method never lists it
+        assert "native" not in slam_sort_grid
 
     @pytest.mark.skipif(NATIVE_AVAILABLE, reason="extension is compiled here")
     def test_unknown_engine_error_names_available(self, cluster_xy):
@@ -140,7 +141,7 @@ class TestAvailability:
 
 @needs_native
 class TestNativeParity:
-    """native == numpy_batch == per-row numpy, bit for bit."""
+    """native == the numpy block engine == the per-row oracle, bit for bit."""
 
     @pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
     @pytest.mark.parametrize("weighted", (False, True))

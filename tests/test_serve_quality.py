@@ -330,11 +330,31 @@ class TestQualityServing:
             assert first.tier == "coreset:1024"
             assert first.degraded
             assert first.error_bound > 0.0
+            # The pinned serve queued a background exact refinement, which
+            # drops the tile's degraded variants when it lands.  Until then
+            # the live degraded entry would answer an unpinned request, so
+            # wait for it (exact entry cached, refinement counted) first.
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if (
+                    service._cache.get((0, 0, 0), count=False) is not None
+                    and rec.snapshot()["counters"].get("quality.refined")
+                ):
+                    break
+                time.sleep(0.01)
+            # the refinement dropped the pinned entry: this re-renders it,
+            # with the same bits, and caches it again
             again = service.request_tile(0, 0, 0, quality="coreset:1024")
+            assert again.tier == "coreset:1024"
             assert np.array_equal(again.grid, first.grid)
+            hits = rec.snapshot()["counters"].get("tiles.cache.hits", 0)
+            cached = service.request_tile(0, 0, 0, quality="coreset:1024")
+            assert np.array_equal(cached.grid, first.grid)
+            assert rec.snapshot()["counters"]["tiles.cache.hits"] == hits + 1
             # pinned cheap tiers never consume the exact cache namespace
             assert service.request_tile(0, 0, 0).tier == "exact"
             snap = rec.snapshot()["counters"]
+            assert snap["quality.refined"] == 1
             assert snap["quality.served.coreset"] >= 2
             assert snap["quality.calibrations"] == 1
         finally:

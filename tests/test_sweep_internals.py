@@ -90,12 +90,15 @@ class TestEngineParity:
         from repro.core.slam_bucket import slam_bucket_grid
         from repro.core.slam_sort import slam_sort_grid
 
+        # The block engines bucket, so only the slam_bucket table lists
+        # them; ``numpy_batch`` is an alias of its ``numpy`` engine.
         expected = {"python", "numpy", "numpy_batch"}
         if NATIVE_AVAILABLE:
             # The compiled engine registers conditionally (docs/native.md).
             expected.add("native")
-        assert set(slam_sort_grid) == expected
+        assert set(slam_sort_grid) == {"python", "numpy"}
         assert set(slam_bucket_grid) == expected
+        assert slam_bucket_grid["numpy"] is slam_bucket_grid["numpy_batch"]
 
     def test_unknown_engine_raises_valueerror_via_api(self, small_xy):
         from repro import compute_kdv
@@ -103,3 +106,19 @@ class TestEngineParity:
         with pytest.raises(ValueError, match="unknown engine 'cython'.*slam_sort"):
             compute_kdv(small_xy, size=(8, 8), bandwidth=5.0,
                         method="slam_sort", engine="cython")
+
+    @pytest.mark.parametrize("method", ("slam_sort", "slam_sort_rao"))
+    @pytest.mark.parametrize("engine", ("numpy_batch", "native"))
+    def test_bucket_engines_rejected_under_slam_sort(
+        self, method, engine, small_xy
+    ):
+        """The block engines bucket (Algorithm 2); asking for them under a
+        sorting method is the standard unknown-engine error, not a silent
+        switch of algorithm."""
+        from repro import compute_kdv
+
+        with pytest.raises(
+            ValueError, match=f"unknown engine '{engine}' for method '{method}'"
+        ):
+            compute_kdv(small_xy, size=(8, 8), bandwidth=5.0,
+                        method=method, engine=engine)
