@@ -26,7 +26,7 @@ from repro.baselines.akde_dual import akde_dual_grid
 from repro.baselines.rqs import rqs_grid
 from repro.core.envelope import YSortedIndex, envelope_scan
 from repro.core.kernels import get_kernel
-from repro.core.slam_bucket import slam_bucket_grid
+from repro.core.engines import slam_bucket_grid
 from repro.data.points import PointSet
 from repro.extensions.multiband import compute_multiband
 from repro.extensions.temporal import compute_stkdv

@@ -63,15 +63,18 @@ from _common import MAX_CELL_COST, emit_json, write_report
 from repro.bench.harness import format_table
 from repro.core.envelope import YSortedIndex
 from repro.core.kernels import get_kernel
+from repro.core.engines import slam_bucket_grid
 from repro.core.native import NATIVE_AVAILABLE
-from repro.core.slam_bucket import slam_bucket_grid, slam_bucket_row_numpy
-from repro.core.sweep import make_grid_function
+from repro.core.slam_bucket import slam_bucket_row_numpy
+from repro.core.sweep import RowSweep, make_grid_function
 from repro.viz.region import Raster, Region
 
 #: Timed grid functions by cell label: the registered engines minus the
 #: ``numpy_batch`` alias, plus the per-row oracle as ``numpy_rows``.
 GRIDS = {
-    "numpy_rows": make_grid_function(slam_bucket_row_numpy),
+    "numpy_rows": make_grid_function(
+        RowSweep("slam_bucket_row_numpy", slam_bucket_row_numpy)
+    ),
     **{e: fn for e, fn in slam_bucket_grid.items() if e != "numpy_batch"},
 }
 ENGINES = ("python", "numpy_rows", "numpy") + (

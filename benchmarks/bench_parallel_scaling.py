@@ -1,8 +1,8 @@
 """Parallel row-block sweep scaling: speedup at 1/2/4/8 workers.
 
 Measures the four SLAM variants on the paper's default workload
-(1280x960 pixels, 100k points) across worker counts, for both executor
-backends, and reports per-cell wall time, rows/sec, and speedup relative to
+(1280x960 pixels, 100k points) across worker counts on the ``process``
+backend, and reports per-cell wall time, rows/sec, and speedup relative to
 the serial sweep.  The headline acceptance number is SLAM_BUCKET^(RAO) at
 4 workers, which should reach >= 2x on a machine with >= 4 usable cores;
 on fewer cores the table documents the (lack of) scaling honestly.
@@ -13,8 +13,6 @@ Knobs (environment variables, all optional):
     Base resolution ``X`` (default 1280; ``Y = 3 X / 4`` -> 1280x960).
 ``REPRO_BENCH_PARALLEL_N``
     Point count (default 100_000).
-``REPRO_BENCH_PARALLEL_BACKEND``
-    ``process`` (default) or ``thread``.
 
 Run with::
 
@@ -52,10 +50,6 @@ def _num_points() -> int:
     return int(os.environ.get("REPRO_BENCH_PARALLEL_N", "100000"))
 
 
-def _backend() -> str:
-    return os.environ.get("REPRO_BENCH_PARALLEL_BACKEND", "process")
-
-
 @pytest.fixture(scope="module")
 def workload():
     """The default parallel-scaling workload: uniform-ish clustered points
@@ -91,7 +85,7 @@ def _report():
     ]
     title = (
         f"Parallel row-block sweep scaling, {width}x{height}, "
-        f"n={_num_points():,}, backend={_backend()}, cpus={os.cpu_count()}"
+        f"n={_num_points():,}, backend=process, cpus={os.cpu_count()}"
     )
     text = format_table(headers, rows, title=title)
     write_report("parallel_scaling", text + "\n\n" + "\n".join(lines))
@@ -103,7 +97,7 @@ def _report():
         meta={
             "resolution": list(_resolution()),
             "n_points": _num_points(),
-            "backend": _backend(),
+            "backend": "process",
             "cpu_count": os.cpu_count(),
             "rows_per_sec": {
                 f"{m}@w={w}": s["rows_per_sec"]
@@ -123,7 +117,7 @@ def test_scaling(benchmark, method, workers, workload):
     stats: dict = {}
     kwargs = {"stats": stats}
     if workers > 1:
-        kwargs.update(workers=workers, backend=_backend())
+        kwargs.update(workers=workers, backend="process")
 
     def call():
         return fn(xy, raster, kernel, bandwidth, **kwargs)
@@ -181,7 +175,7 @@ def main(argv: "list[str] | None" = None) -> int:
     width, height = _resolution()
     title = (
         f"Parallel row-block sweep scaling, {width}x{height}, "
-        f"n={_num_points():,}, backend={_backend()}, cpus={os.cpu_count()}"
+        f"n={_num_points():,}, backend=process, cpus={os.cpu_count()}"
     )
     recorder = Recorder()
     report = BenchReport(
@@ -190,7 +184,7 @@ def main(argv: "list[str] | None" = None) -> int:
     report.meta.update(
         resolution=[width, height],
         n_points=_num_points(),
-        backend=_backend(),
+        backend="process",
         cpu_count=os.cpu_count(),
     )
     for method in BENCH_METHODS:
@@ -199,7 +193,7 @@ def main(argv: "list[str] | None" = None) -> int:
             stats: dict = {}
             kwargs = {"stats": stats, "recorder": recorder}
             if workers > 1:
-                kwargs.update(workers=workers, backend=_backend())
+                kwargs.update(workers=workers, backend="process")
             elapsed, _ = time_call(
                 lambda: fn(xy, raster, kernel, bandwidth, **kwargs)
             )

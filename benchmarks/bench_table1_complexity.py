@@ -26,7 +26,7 @@ from _common import emit_json, run_cell, write_report
 from repro.bench.harness import format_table
 from repro.core.kernels import get_kernel
 from repro.core.rao import with_rao
-from repro.core.slam_bucket import slam_bucket_grid
+from repro.core.engines import slam_bucket_grid
 from repro.baselines.scan import scan_grid
 from repro.viz.region import Raster, Region
 

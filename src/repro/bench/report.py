@@ -52,7 +52,6 @@ _ENV_KNOBS = (
     "REPRO_BENCH_MAX_CELL",
     "REPRO_BENCH_PARALLEL_RESOLUTION",
     "REPRO_BENCH_PARALLEL_N",
-    "REPRO_BENCH_PARALLEL_BACKEND",
     "REPRO_BENCH_SERVE_N",
     "REPRO_BENCH_SERVE_REQUESTS",
     "REPRO_BENCH_SERVE_CLIENTS",

@@ -191,8 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "or 'auto' (default 1, serial)")
     p_compute.add_argument("--backend", default=None, choices=BACKENDS,
                            help="parallel backend for SLAM methods: process "
-                                "(default), thread, or dist (distributed "
-                                "worker pool; see --dist-workers)")
+                                "(default; a local process pool when "
+                                "--workers > 1) or dist (distributed worker "
+                                "pool; see --dist-workers)")
     p_compute.add_argument("--dist-workers", default=None, metavar="ADDRS",
                            help="comma-separated host:port worker addresses "
                                 "for --backend dist (default: the "

@@ -45,13 +45,12 @@ from ..data.points import PointSet
 from ..obs import Recorder, active
 from ..viz.bandwidth import BANDWIDTH_SELECTORS, resolve_bandwidth
 from ..viz.region import Raster, Region
+from .engines import slam_bucket_grid, slam_sort_grid
 from .envelope import YSortedIndex
 from .kernels import Kernel, get_kernel
 from .parallel import resolve_workers, validate_backend
 from .rao import with_rao
 from .result import KDVResult, SweepStats
-from .slam_bucket import slam_bucket_grid
-from .slam_sort import slam_sort_grid
 
 __all__ = [
     "compute_kdv",
@@ -165,10 +164,11 @@ def compute_kdv(
         One of :func:`method_names`.
     engine:
         ``"numpy"`` (default), ``"python"`` (literal transcription of the
-        published pseudocode), ``"numpy_batch"``, or ``"native"``.  Under
-        the bucket methods ``"numpy"`` sweeps whole row blocks in O(1)
-        array calls (see :mod:`repro.core.batch`) and ``"numpy_batch"`` is
-        its alias; under ``slam_sort`` it is the per-row vectorized sort.
+        published pseudocode), ``"numpy_batch"``, or ``"native"`` — the
+        method's engines in :mod:`repro.core.engines`.  Under the bucket
+        methods ``"numpy"`` sweeps whole row blocks in O(1) array calls
+        (see :mod:`repro.core.batch`) and ``"numpy_batch"`` is its alias;
+        under ``slam_sort`` it is the per-row vectorized sort.
         ``"native"`` (bucket methods only) is a fused C loop with OpenMP
         row parallelism, bit-identical to ``"numpy"``; it is registered
         only when the optional extension is compiled — see
@@ -186,16 +186,15 @@ def compute_kdv(
         ``1`` (default, serial), an integer worker count, or ``"auto"`` for
         the CPU count.  Honored by the SLAM methods
         (:data:`PARALLEL_METHODS`), which partition the sweep into row
-        blocks; results are bit-identical for every setting.  Other methods
-        run serially regardless.  Pass ``backend="thread"`` as a method
-        kwarg to use threads instead of processes (effective for the numpy
-        engines, whose array ops release the GIL), or ``backend="dist"`` to
-        fan the sweep out to external worker processes via a
-        :class:`repro.dist.Coordinator` (pass one as the ``coordinator``
-        method kwarg, or let :func:`repro.dist.resolve_coordinator` find
-        one; see ``docs/distributed.md``).  Backend names are validated up
-        front via :func:`repro.core.parallel.validate_backend` for every
-        method that accepts one.
+        blocks for a process pool; results are bit-identical for every
+        setting.  Other methods run serially regardless.  Pass
+        ``backend="dist"`` as a method kwarg to fan the sweep out to
+        external worker processes via a :class:`repro.dist.Coordinator`
+        (pass one as the ``coordinator`` method kwarg, or let
+        :func:`repro.dist.resolve_coordinator` find one; see
+        ``docs/distributed.md``).  Backend names are validated up front via
+        :func:`repro.core.parallel.validate_backend` for every method that
+        accepts one.
     ysorted:
         Optional pre-built :class:`~repro.core.envelope.YSortedIndex` over
         exactly these points, letting repeated calls on the same dataset
@@ -218,8 +217,7 @@ def compute_kdv(
     method_kwargs:
         Extra options forwarded to the method (e.g. ``tolerance`` for aKDE,
         ``sample_size`` for Z-order, ``leaf_size`` for tree methods,
-        ``backend`` for the SLAM methods, ``max_block_bytes`` for the
-        bucket methods' ``numpy`` engine).
+        ``backend`` and ``coordinator`` for the SLAM methods).
 
     Returns
     -------

@@ -58,8 +58,8 @@ under ``==`` (and ``np.array_equal``), which treats ``-0.0 == +0.0``.
 Memory bounding
 ---------------
 Materializing all pairs of a tall block at once would thrash caches (and can
-exceed RAM), so blocks are internally chunked by the ``max_block_bytes``
-knob: chunk boundaries bound both the difference tensor
+exceed RAM), so blocks are internally chunked by :data:`MAX_BLOCK_BYTES`:
+chunk boundaries bound both the difference tensor
 (``rows × (X+1) × nch`` float64) and the per-pair working set (about
 eleven float64/int64 arrays of ``total_pairs`` elements).  The default
 (2 MB) keeps the per-chunk working set resident in the CPU cache — measured
@@ -77,21 +77,16 @@ from ..obs import Recorder
 from .bounds import bucket_indices
 from .envelope import YSortedIndex
 from .kernels import Kernel
-from .sweep import (
-    PHASE_ENDPOINT_BUCKET,
-    PHASE_ENVELOPE_UPDATE,
-    PHASE_PREFIX_SWEEP,
-    sweep_kdv,
-)
+from .sweep import PHASE_ENDPOINT_BUCKET, PHASE_ENVELOPE_UPDATE, PHASE_PREFIX_SWEEP
 
-__all__ = ["NumpyBatchEngine", "numpy_batch_grid", "DEFAULT_MAX_BLOCK_BYTES"]
+__all__ = ["NumpyBatchEngine", "MAX_BLOCK_BYTES"]
 
-#: Default for the ``max_block_bytes`` chunking knob.  2 MB keeps a chunk's
-#: difference arrays and pair working set resident in the CPU cache, where
-#: the ~25 whole-chunk array passes run at cache bandwidth instead of DRAM
-#: bandwidth — measured fastest across 256 KB..16 MB on the benchmark
-#: workload.  Raising it trades locality for fewer chunk iterations.
-DEFAULT_MAX_BLOCK_BYTES = 2 * 1024 * 1024
+#: Chunk budget of one block sweep.  2 MB keeps a chunk's difference arrays
+#: and pair working set resident in the CPU cache, where the ~25 whole-chunk
+#: array passes run at cache bandwidth instead of DRAM bandwidth — measured
+#: fastest across 256 KB..16 MB on the benchmark workload.  Read at call
+#: time, so the chunking tests can patch it.
+MAX_BLOCK_BYTES = 2 * 1024 * 1024
 
 #: Bytes of per-pair working state: the float64 scratch (u, v, v², half, lb,
 #: ub, and up to s, s·u, s², u², w), the int64 row base, enter and leave —
@@ -114,22 +109,13 @@ _DEAD_AT_QY0 = {
 class NumpyBatchEngine:
     """Whole-block sweep engine: all rows of a block in O(1) NumPy calls.
 
-    Instances are stateless apart from the ``max_block_bytes`` knob, so they
-    are trivially picklable and safe to share across the process/thread
-    workers of :func:`repro.core.parallel.run_blocks` (the driver detects the
-    ``sweep_block`` method and dispatches blocks through
-    :func:`repro.core.sweep.sweep_rows_batched`).
+    Registered as ``slam_bucket.numpy`` (:mod:`repro.core.engines`).
+    Instances are stateless, so they are trivially picklable and safe to
+    share across the pool workers of :func:`repro.core.parallel.run_blocks`.
     """
 
-    def __init__(self, max_block_bytes: int = DEFAULT_MAX_BLOCK_BYTES):
-        if max_block_bytes <= 0:
-            raise ValueError(
-                f"max_block_bytes must be positive, got {max_block_bytes}"
-            )
-        self.max_block_bytes = int(max_block_bytes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NumpyBatchEngine(max_block_bytes={self.max_block_bytes})"
+    name = "slam_bucket.numpy"
+    threads = 1
 
     def sweep_block(
         self,
@@ -146,8 +132,9 @@ class NumpyBatchEngine:
     ) -> np.ndarray:
         """Compute the pixel-row block ``[start, stop)`` — batched.
 
-        Same inputs and output as :func:`repro.core.sweep.sweep_rows`; see
-        the module docstring for the pipeline and the bit-identity argument.
+        Same inputs and output as
+        :meth:`repro.core.sweep.RowSweep.sweep_block`; see the module
+        docstring for the pipeline and the bit-identity argument.
         Recorder semantics match the serial loop's *totals*: the phase
         timers accumulate per chunk and flush once per block with call
         counts equal to the serial loop's (``sweep.envelope_update`` counts
@@ -208,16 +195,14 @@ class NumpyBatchEngine:
             sorted_weights = sorted_weights[first:last]
 
         # Chunk boundaries: bound both the difference tensor and the pair
-        # working set by max_block_bytes (see module docstring).  Boundaries
+        # working set by MAX_BLOCK_BYTES (see module docstring).  Boundaries
         # depend only on the envelope counts, so they are computed up front —
         # which also yields the largest chunk's pair count, letting the
         # per-pair scratch below be allocated once per block instead of once
         # per chunk (the repeated-temporary fix pinned by
         # tests/test_batch.py's tracemalloc bound).
-        max_pairs = max(self.max_block_bytes // _BYTES_PER_PAIR, 1)
-        max_chunk_rows = max(
-            self.max_block_bytes // (8 * (num_pixels + 1) * nch), 1
-        )
+        max_pairs = max(MAX_BLOCK_BYTES // _BYTES_PER_PAIR, 1)
+        max_chunk_rows = max(MAX_BLOCK_BYTES // (8 * (num_pixels + 1) * nch), 1)
         cum_pairs = np.cumsum(counts_all)
         chunks: "list[tuple[int, int]]" = []
         cap = 0
@@ -388,39 +373,3 @@ class NumpyBatchEngine:
         if nonempty_rows:
             rec.timer(PHASE_ENDPOINT_BUCKET).add(bucket_seconds, nonempty_rows)
             rec.timer(PHASE_PREFIX_SWEEP).add(sweep_seconds, nonempty_rows)
-
-
-def numpy_batch_grid(
-    xy: np.ndarray,
-    raster,
-    kernel: Kernel,
-    bandwidth: float,
-    ysorted: YSortedIndex | None = None,
-    weights: np.ndarray | None = None,
-    workers: "int | str | None" = 1,
-    backend: str = "process",
-    stats: dict | None = None,
-    recorder: "Recorder | None" = None,
-    coordinator=None,
-    max_block_bytes: int = DEFAULT_MAX_BLOCK_BYTES,
-) -> np.ndarray:
-    """Grid-level ``numpy_batch`` compute function (engine-table entry).
-
-    Same signature as the :func:`repro.core.sweep.make_grid_function` grid
-    functions plus the ``max_block_bytes`` chunking knob (reachable as
-    ``compute_kdv(..., engine="numpy_batch", max_block_bytes=...)``).
-    """
-    return sweep_kdv(
-        xy,
-        raster,
-        kernel,
-        bandwidth,
-        NumpyBatchEngine(max_block_bytes),
-        ysorted=ysorted,
-        weights=weights,
-        workers=workers,
-        backend=backend,
-        stats=stats,
-        recorder=recorder,
-        coordinator=coordinator,
-    )

@@ -5,10 +5,10 @@ best-effort basis by ``setup.py``) implements the whole bucket sweep as one
 fused per-row loop — binary-search envelope extraction, arithmetic bucket
 assignment, difference-row accumulation, and the prefix sweep + kernel
 recombination — with no intermediate tensors, parallelized across rows with
-OpenMP.  This module wraps it in the same duck-typed ``sweep_block`` engine
-interface as :class:`repro.core.batch.NumpyBatchEngine`, so the shared
-drivers (:func:`repro.core.sweep.sweep_rows_batched`, the dist worker, the
-RAO wrapper) need no special cases.
+OpenMP.  This module wraps it in the engine shape of :mod:`repro.core.sweep`
+(``name``, ``threads``, ``sweep_block``) as ``slam_bucket.native``, so the
+shared drivers (:func:`repro.core.sweep.sweep_kdv`, the dist worker, the RAO
+wrapper) need no special cases.
 
 Optional-build semantics
 ------------------------
@@ -24,10 +24,10 @@ Thread model
 The C loop parallelizes across rows *inside* one ``sweep_block`` call, so the
 ``workers`` kwarg maps to OpenMP threads (:func:`native_grid` resolves it via
 the same :func:`repro.core.parallel.resolve_workers` as the other engines)
-and the Python-level block executor always receives ``workers=1`` — there is
-nothing left for it to parallelize.  ``backend="dist"`` still routes through
-the coordinator: the spec from :func:`repro.dist.worker.engine_spec` carries
-the thread count to each worker.
+and the sweep runs serially around it — there is nothing left for a process
+pool to parallelize.  ``backend="dist"`` still routes through the
+coordinator: the spec from :func:`repro.dist.worker.engine_spec` carries the
+thread count to each worker.
 
 Bit-identity: the extension replicates ``slam_bucket_row_numpy``'s exact
 floating-point operand order (see the C source) and is pinned bit-identical
@@ -91,13 +91,15 @@ def _unavailable_error() -> RuntimeError:
 class NativeEngine:
     """Whole-block sweep engine backed by the fused C loop.
 
-    Duck-typed on ``sweep_block`` like
-    :class:`~repro.core.batch.NumpyBatchEngine`, and bit-identical to it (and
-    to ``slam_bucket_row_numpy``) by the extension's operand-order contract.
+    Registered as ``slam_bucket.native`` when the extension is compiled, and
+    bit-identical to :class:`~repro.core.batch.NumpyBatchEngine` (and to
+    ``slam_bucket_row_numpy``) by the extension's operand-order contract.
     ``threads`` is the OpenMP row-parallelism width for each block; with 1
     (or an OpenMP-less build) the C loop runs serially — still fused, still
     allocation-free.
     """
+
+    name = "slam_bucket.native"
 
     def __init__(self, threads: int = 1):
         if not NATIVE_AVAILABLE:
@@ -188,44 +190,32 @@ def native_grid(
     raster,
     kernel: Kernel,
     bandwidth: float,
-    ysorted: YSortedIndex | None = None,
-    weights: np.ndarray | None = None,
     workers: "int | str | None" = 1,
     backend: str = "process",
     stats: dict | None = None,
-    recorder: "Recorder | None" = None,
-    coordinator=None,
-    threads: "int | None" = None,
+    **kwargs,
 ) -> np.ndarray:
     """Grid-level ``native`` compute function (engine-table entry).
 
     ``workers`` becomes the OpenMP thread count (``"auto"`` resolves to the
-    CPU count exactly like the other engines); ``threads`` overrides it
-    explicitly.  ``backend`` is accepted for signature uniformity — row
-    parallelism happens inside the C loop, so the in-process executors have
-    nothing to do — except ``backend="dist"``, which shards across a
+    CPU count exactly like the other engines) and the sweep itself runs
+    serially, reporting ``stats["backend"] == "openmp"`` when it used more
+    than one thread.  ``backend="dist"`` shards across a
     :class:`repro.dist.Coordinator` pool as usual, each worker running the
     native engine (or its bit-identical ``numpy`` block-engine fallback when
-    the worker's checkout has no compiled extension).
+    the worker's checkout has no compiled extension).  Other keyword
+    arguments pass through to :func:`repro.core.sweep.sweep_kdv`.
     """
-    if not NATIVE_AVAILABLE:
-        raise _unavailable_error()
-    nthreads = resolve_workers(workers) if threads is None else max(1, int(threads))
-    engine = NativeEngine(threads=nthreads)
+    threads = resolve_workers(workers)
+    engine = NativeEngine(threads=threads)
     if backend == "dist":
         return sweep_kdv(
-            xy, raster, kernel, bandwidth, engine,
-            ysorted=ysorted, weights=weights, workers=workers,
-            backend=backend, stats=stats, recorder=recorder,
-            coordinator=coordinator,
+            xy, raster, kernel, bandwidth, engine, workers=workers,
+            backend=backend, stats=stats, **kwargs,
         )
-    grid = sweep_kdv(
-        xy, raster, kernel, bandwidth, engine,
-        ysorted=ysorted, weights=weights, workers=1, backend="thread",
-        stats=stats, recorder=recorder, coordinator=coordinator,
-    )
+    grid = sweep_kdv(xy, raster, kernel, bandwidth, engine, stats=stats, **kwargs)
     if stats is not None:
-        # Report the realized parallelism, not the block executor's.
-        stats["workers"] = nthreads
-        stats["backend"] = "openmp" if nthreads > 1 else "serial"
+        # Report the realized parallelism, not the (serial) block executor's.
+        stats["workers"] = threads
+        stats["backend"] = "openmp" if threads > 1 else "serial"
     return grid

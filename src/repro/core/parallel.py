@@ -10,26 +10,17 @@ This module owns the dispatch mechanics:
   ``BLOCKS_PER_WORKER`` x ``workers`` contiguous blocks (more blocks than
   workers smooths load imbalance: envelope sizes vary across rows, so equal
   row counts are not equal work);
-* :func:`run_blocks` executes a block function over the partition with a
-  ``concurrent.futures`` executor and assembles the full grid.
-
-The block function is opaque to the dispatcher: per-row engines hand it
-:func:`repro.core.sweep.sweep_rows` (a Python loop over the block's rows)
-while whole-block engines hand it :func:`repro.core.sweep.sweep_rows_batched`
-(the block computed in a handful of array calls); partitioning, submission,
-and assembly are identical either way.
+* :func:`run_blocks` hands the blocks to a process pool, each worker
+  calling the engine's ``sweep_block`` (see :mod:`repro.core.sweep`), and
+  assembles the full grid.
 
 Backends
 --------
 ``"process"`` (default)
     A :class:`~concurrent.futures.ProcessPoolExecutor`.  The shared sweep
-    context (index, pixel centers, kernel, engine) is shipped to each worker
+    context (engine, index, pixel centers, kernel) is shipped to each worker
     *once* via the pool initializer rather than per task, so per-block
     overhead is one small ``(start, stop)`` submission plus the result block.
-``"thread"``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  No pickling and no
-    process startup; worthwhile for the NumPy engine whose heavy array ops
-    release the GIL.
 ``"dist"``
     The distributed tier: row *shards* dispatched to external worker
     processes by a :class:`repro.dist.coordinator.Coordinator`.  Listed here
@@ -46,10 +37,11 @@ combination returns a grid bit-identical to the serial sweep.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+
+from ..obs import Recorder
 
 __all__ = [
     "BACKENDS",
@@ -60,10 +52,10 @@ __all__ = [
     "run_blocks",
 ]
 
-#: Valid execution backends.  ``process`` and ``thread`` are in-process
-#: executors handled by :func:`run_blocks`; ``dist`` routes to the
-#: :mod:`repro.dist` coordinator (dispatched in ``sweep_kdv``).
-BACKENDS = ("process", "thread", "dist")
+#: Valid execution backends.  ``process`` is the in-process executor of
+#: :func:`run_blocks`; ``dist`` routes to the :mod:`repro.dist` coordinator
+#: (dispatched in ``sweep_kdv``).
+BACKENDS = ("process", "dist")
 
 #: Target number of blocks per worker.  Over-partitioning by this factor lets
 #: the executor balance rows whose envelopes (and therefore costs) differ.
@@ -132,72 +124,55 @@ def partition_rows(num_rows: int, num_blocks: int) -> list[tuple[int, int]]:
 
 # Per-worker-process sweep context, installed once by the pool initializer so
 # the (potentially large) shared arrays are pickled per worker, not per block.
-_WORKER_CTX: tuple[Callable[..., np.ndarray], tuple, dict] | None = None
+_WORKER_CTX: "tuple | None" = None
 
 
-def _init_worker(fn: Callable[..., np.ndarray], args: tuple, kwargs: dict) -> None:
+def _init_worker(*ctx) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = (fn, args, kwargs)
+    _WORKER_CTX = ctx
 
 
-def _run_block(start: int, stop: int) -> np.ndarray:
-    fn, args, kwargs = _WORKER_CTX
-    return fn(start, stop, *args, **kwargs)
+def _run_block(start: int, stop: int) -> "tuple[np.ndarray, dict | None]":
+    """Sweep one block in a pool worker.  With ``collect`` the block records
+    into a fresh recorder whose snapshot travels back with it: workers never
+    share the caller's recorder, and the caller merges the snapshots, so
+    merged counters equal the serial sweep's exactly (see
+    :meth:`repro.obs.Recorder.merge`)."""
+    engine, args, sorted_weights, collect = _WORKER_CTX
+    recorder = Recorder() if collect else None
+    block = engine.sweep_block(
+        start, stop, *args, sorted_weights=sorted_weights, recorder=recorder
+    )
+    return block, None if recorder is None else recorder.snapshot()
 
 
 def run_blocks(
-    block_fn: Callable[..., "np.ndarray | tuple[np.ndarray, object]"],
+    engine,
     args: tuple,
-    kwargs: dict,
+    sorted_weights: "np.ndarray | None",
     num_rows: int,
     workers: int,
-    backend: str,
-) -> tuple[int, np.ndarray, list]:
-    """Evaluate ``block_fn(start, stop, *args, **kwargs)`` over a row
-    partition and assemble the ``(num_rows, X)`` grid.
+    collect: bool = False,
+) -> "tuple[int, np.ndarray, list[dict]]":
+    """Evaluate ``engine.sweep_block(start, stop, *args, sorted_weights=...)``
+    over a row partition on a process pool and assemble the
+    ``(num_rows, X)`` grid.
 
-    ``block_fn`` must be a module-level (picklable) function returning either
-    a ``(stop - start, X)`` float64 block, or an ``(block, aux)`` pair where
-    ``aux`` is any picklable per-block payload — the observability layer uses
-    this to ship each worker's recorder snapshot back for merging.
-
-    Returns ``(num_blocks, grid, aux_list)``; ``aux_list`` is empty when the
-    block function returns bare arrays, else one entry per block in row
-    order.
+    ``engine`` and ``args`` must be picklable (every registered engine is).
+    Returns ``(num_blocks, grid, snapshots)``; ``snapshots`` holds one
+    recorder snapshot per block, in row order, when ``collect`` is set and
+    is empty otherwise.
     """
-    validate_backend(backend)
-    if backend == "dist":
-        # The distributed backend is dispatched by sweep_kdv (the shard
-        # planner needs the sweep geometry, not just row bounds); reaching
-        # this executor with it means a caller skipped that layer.
-        raise ValueError(
-            "backend 'dist' is handled by repro.core.sweep.sweep_kdv / "
-            "repro.dist.Coordinator, not by run_blocks"
-        )
     blocks = partition_rows(num_rows, workers * BLOCKS_PER_WORKER)
-    if not blocks:
-        return 0, np.zeros((0, 0), dtype=np.float64), []
-    workers = min(workers, len(blocks))
-    if backend == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(block_fn, start, stop, *args, **kwargs)
-                for start, stop in blocks
-            ]
-            results = [f.result() for f in futures]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(block_fn, args, kwargs),
-        ) as pool:
-            futures = [pool.submit(_run_block, start, stop) for start, stop in blocks]
-            results = [f.result() for f in futures]
-    aux: list = []
-    if results and isinstance(results[0], tuple):
-        aux = [r[1] for r in results]
-        results = [r[0] for r in results]
-    grid = np.empty((num_rows, results[0].shape[1]), dtype=np.float64)
-    for (start, stop), block in zip(blocks, results):
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(blocks)),
+        initializer=_init_worker,
+        initargs=(engine, args, sorted_weights, collect),
+    ) as pool:
+        futures = [pool.submit(_run_block, start, stop) for start, stop in blocks]
+        results = [f.result() for f in futures]
+    grid = np.empty((num_rows, results[0][0].shape[1]), dtype=np.float64)
+    for (start, stop), (block, _) in zip(blocks, results):
         grid[start:stop] = block
-    return len(blocks), grid, aux
+    snapshots = [snap for _, snap in results] if collect else []
+    return len(blocks), grid, snapshots

@@ -37,7 +37,7 @@ def with_rao(grid_fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
 
     The wrapped function has the same signature as the base grid functions
     (``xy, raster, kernel, bandwidth``); extra keyword arguments (e.g. the
-    batch engine's ``max_block_bytes``) pass through untouched.  A
+    dist backend's ``coordinator``) pass through untouched.  A
     caller-supplied ``ysorted`` index is honored in *both* orientations: a
     column sweep runs on the transposed problem, which sorts by the other
     coordinate, so the wrapper forwards the index's cached coordinate-swapped

@@ -34,7 +34,8 @@ class SweepStats:
     workers:
         Resolved worker count (``"auto"`` already expanded).
     backend:
-        ``"serial"``, ``"process"``, or ``"thread"``.
+        ``"serial"``, ``"process"``, ``"dist"``, or ``"openmp"`` (the
+        ``native`` engine with more than one thread).
     orientation:
         Sweep orientation chosen: ``"rows"`` (default) or ``"columns"``
         (RAO transposed the problem).

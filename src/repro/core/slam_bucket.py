@@ -21,6 +21,11 @@ a pixel center (or within one ulp of it).  Both engines apply a one-step
 correction against the actual pixel coordinates, which restores the exact
 ``searchsorted`` semantics; rounding error is far below one pixel gap, so a
 single step suffices.
+
+:mod:`repro.core.engines` registers :func:`slam_bucket_row_python` as the
+``slam_bucket.python`` engine.  :func:`slam_bucket_row_numpy` is the per-row
+oracle that the block engines (``slam_bucket.numpy``, ``slam_bucket.native``)
+are pinned to bit for bit.
 """
 
 from __future__ import annotations
@@ -31,16 +36,13 @@ from time import perf_counter
 import numpy as np
 
 from ..obs import Recorder
-from .batch import numpy_batch_grid
 from .bounds import bucket_indices
-from .native import NATIVE_AVAILABLE, native_grid
 from .kernels import Kernel
-from .sweep import PHASE_ENDPOINT_BUCKET, PHASE_PREFIX_SWEEP, make_grid_function
+from .sweep import PHASE_ENDPOINT_BUCKET, PHASE_PREFIX_SWEEP
 
 __all__ = [
     "slam_bucket_row_python",
     "slam_bucket_row_numpy",
-    "slam_bucket_grid",
     "bucket_indices",
     "PHASE_ENDPOINT_BUCKET",
 ]
@@ -130,19 +132,3 @@ def slam_bucket_row_numpy(
     if recorder is not None:
         recorder.timer(PHASE_PREFIX_SWEEP).add(perf_counter() - t1)
     return out
-
-
-#: Grid-level SLAM_BUCKET, engine selected by the caller.  ``numpy`` is the
-#: whole-block sweep of repro.core.batch (O(1) NumPy calls per row block),
-#: bit-identical to the per-row :func:`slam_bucket_row_numpy`, which stays
-#: only as its test oracle; ``numpy_batch`` is an alias of it.
-slam_bucket_grid = {
-    "python": make_grid_function(slam_bucket_row_python),
-    "numpy": numpy_batch_grid,
-    "numpy_batch": numpy_batch_grid,
-}
-
-# The fused-C ``native`` engine registers only when its extension compiled
-# (optional-build pattern; see repro.core.native and docs/native.md).
-if NATIVE_AVAILABLE:
-    slam_bucket_grid["native"] = native_grid

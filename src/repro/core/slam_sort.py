@@ -10,7 +10,8 @@ from the aggregate difference ``L - U`` in O(1) (Lemma 3).
 Row cost: O(m log m + X) for m = |E(k)| envelope points, giving
 O(Y (n log n + X)) overall (Theorem 1).
 
-Two engines:
+Two per-row functions, registered as the ``slam_sort.python`` and
+``slam_sort.numpy`` engines by :mod:`repro.core.engines`:
 
 * :func:`slam_sort_row_python` — a literal transcription of Algorithm 1's
   event sweep, kept simple for auditability; used as algorithmic ground truth
@@ -34,12 +35,11 @@ import numpy as np
 
 from ..obs import Recorder
 from .kernels import Kernel
-from .sweep import PHASE_ENDPOINT_SORT, PHASE_PREFIX_SWEEP, make_grid_function
+from .sweep import PHASE_ENDPOINT_SORT, PHASE_PREFIX_SWEEP
 
 __all__ = [
     "slam_sort_row_python",
     "slam_sort_row_numpy",
-    "slam_sort_grid",
     "PHASE_ENDPOINT_SORT",
     "PHASE_PREFIX_SWEEP",
 ]
@@ -126,12 +126,3 @@ def slam_sort_row_numpy(
     if recorder is not None:
         recorder.timer(PHASE_PREFIX_SWEEP).add(perf_counter() - t1)
     return out
-
-
-#: Grid-level SLAM_SORT, engine selected by the caller.  Only engines that
-#: sort are listed: the block engines (``numpy_batch``, ``native``) bucket,
-#: so they belong to the slam_bucket table alone.
-slam_sort_grid = {
-    "python": make_grid_function(slam_sort_row_python),
-    "numpy": make_grid_function(slam_sort_row_numpy),
-}

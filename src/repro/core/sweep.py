@@ -3,10 +3,22 @@
 Both SLAM variants process the raster one pixel row at a time (paper
 Figure 4): extract the envelope point set ``E(k)`` for the row's y-coordinate
 ``k``, turn each envelope point into an x-interval ``[LB_k(p), UB_k(p)]``
-(Section 3.3), and hand the intervals plus the row's pixel x-centers to a
-*row engine* that performs the actual sweep.  The engines differ only in how
-they order interval endpoints against pixels — sorting (Algorithm 1) versus
-bucketing (Algorithm 2) — so everything else lives here.
+(Section 3.3), and sweep the intervals against the row's pixel x-centers.
+The algorithms differ only in how they order interval endpoints against
+pixels — sorting (Algorithm 1) versus bucketing (Algorithm 2) — so everything
+else lives here.
+
+Engines
+-------
+Every engine is one kind of object: a ``name`` (its wire name, registered in
+:mod:`repro.core.engines`), a ``threads`` count, and a ``sweep_block`` method
+that computes a contiguous row block.  The per-row functions of
+:mod:`repro.core.slam_sort` and :mod:`repro.core.slam_bucket` become engines
+through the :class:`RowSweep` adapter; the block engines
+(:class:`repro.core.batch.NumpyBatchEngine`,
+:class:`repro.core.native.NativeEngine`) compute whole blocks at once.
+:func:`sweep_kdv`, the process executor and the dist workers all just call
+``engine.sweep_block``.
 
 Numerical conditioning
 ----------------------
@@ -23,17 +35,19 @@ Parallel execution
 ------------------
 Rows are independent (the paper's per-row decomposition shares only read-only
 state: the y-sorted index and the scaled pixel centers), so the driver can
-hand contiguous *row blocks* to :mod:`repro.core.parallel` and assemble the
-results.  Each row is computed by exactly the same code in exactly the same
-floating-point order regardless of blocking, so any ``workers`` setting —
-including ``workers=1``, which bypasses the executor entirely — produces
-bit-identical grids.
+hand contiguous *row blocks* to :mod:`repro.core.parallel` (a process pool)
+or to :mod:`repro.dist` (external workers) and assemble the results.  Each
+row is computed by exactly the same code in exactly the same floating-point
+order regardless of blocking, so any ``workers`` setting — including
+``workers=1``, which bypasses the executor entirely — produces bit-identical
+grids.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -44,10 +58,9 @@ from .kernels import Kernel, channel_values
 from .parallel import resolve_workers, run_blocks, validate_backend
 
 __all__ = [
-    "RowEngine",
+    "RowSweep",
     "sweep_kdv",
-    "sweep_rows",
-    "sweep_rows_batched",
+    "make_grid_function",
     "row_frame",
     "PHASE_ENVELOPE_UPDATE",
     "PHASE_ENDPOINT_SORT",
@@ -57,40 +70,13 @@ __all__ = [
 
 # Observability phase names shared by the sweep driver and the engines
 # (see docs/observability.md).  They live here — the one module every
-# engine already imports — so the engines and the block-batched engine in
-# :mod:`repro.core.batch` can share them without circular imports;
-# ``slam_sort`` / ``slam_bucket`` re-export them for compatibility.
+# engine already imports — so the row functions and the block engines can
+# share them without circular imports; ``slam_sort`` / ``slam_bucket``
+# re-export them for compatibility.
 PHASE_ENVELOPE_UPDATE = "sweep.envelope_update"
 PHASE_ENDPOINT_SORT = "sweep.endpoint_sort"
 PHASE_ENDPOINT_BUCKET = "sweep.endpoint_bucket"
 PHASE_PREFIX_SWEEP = "sweep.prefix_sweep"
-
-
-class RowEngine(Protocol):
-    """Signature of a per-row sweep implementation.
-
-    All inputs are in the scaled local frame (bandwidth 1, row at y = 0):
-
-    ``xs``     -- pixel-center x coordinates, strictly increasing, shape (X,)
-    ``lb/ub``  -- interval endpoints per envelope point, shape (m,)
-    ``chans``  -- aggregate channel values per envelope point, shape (m, nch)
-    ``kernel`` -- the kernel whose aggregates ``chans`` encodes
-    ``recorder`` -- optional :class:`~repro.obs.Recorder`; when attached the
-    engine accumulates its endpoint-ordering and prefix-sweep phase timings
-    into it (``None``, the default, skips all timing)
-
-    Returns the row's ``sum_{p in R(q)} K(q, p)`` values, shape (X,).
-    """
-
-    def __call__(
-        self,
-        xs: np.ndarray,
-        lb: np.ndarray,
-        ub: np.ndarray,
-        chans: np.ndarray,
-        kernel: Kernel,
-        recorder: "Recorder | None" = None,
-    ) -> np.ndarray: ...
 
 
 def row_frame(
@@ -112,139 +98,95 @@ def row_frame(
     return u, v, np.sqrt(radicand)
 
 
-def sweep_rows(
-    start: int,
-    stop: int,
-    y_centers: np.ndarray,
-    xs_scaled: np.ndarray,
-    ysorted: YSortedIndex,
-    cx: float,
-    bandwidth: float,
-    kernel: Kernel,
-    row_engine: RowEngine,
-    sorted_weights: np.ndarray | None = None,
-    recorder: "Recorder | None" = None,
-) -> np.ndarray:
-    """Compute the contiguous pixel-row block ``[start, stop)`` of a sweep.
+class RowSweep:
+    """A per-row SLAM function in the engine shape (see the module doc).
 
-    Pure function of its arguments — all inputs are read-only shared state
-    (the y-sorted index, the scaled pixel x-centers) plus the block bounds, so
-    blocks can be evaluated in any order, on any thread, or in a worker
-    process, and always yield the same ``(stop - start, X)`` float64 array.
-    The result is *unscaled*: :func:`sweep_kdv` applies the kernel's rescale
-    factor once after assembling all blocks.
+    The per-row functions (:func:`~repro.core.slam_sort.slam_sort_row_numpy`
+    and friends) take one row's intervals in the scaled local frame:
 
-    When ``recorder`` is attached the block accumulates counters
-    (``sweep.rows``, ``sweep.empty_rows``, ``sweep.envelope_points``) and the
-    ``sweep.envelope_update`` phase timer, and passes the recorder into the
-    row engine for its per-phase breakdown.  With ``recorder=None`` (the
-    default) the loop below runs untouched — no clock reads, no allocations.
+    ``xs``     -- pixel-center x coordinates, strictly increasing, shape (X,)
+    ``lb/ub``  -- interval endpoints per envelope point, shape (m,)
+    ``chans``  -- aggregate channel values per envelope point, shape (m, nch)
+    ``kernel`` -- the kernel whose aggregates ``chans`` encodes
+    ``recorder`` -- a :class:`~repro.obs.Recorder` for the engine's
+    endpoint-ordering and prefix-sweep phase timings, or ``None``
+
+    and return the row's ``sum_{p in R(q)} K(q, p)`` values, shape (X,).
+    This adapter drives one such function over a row block.
     """
-    nch = kernel.num_channels
-    block = np.zeros((stop - start, len(xs_scaled)), dtype=np.float64)
-    rec = active(recorder)
-    if rec is None:
+
+    threads = 1
+
+    def __init__(self, name: str, row_fn: Callable[..., np.ndarray]):
+        self.name = name
+        self.row_fn = row_fn
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"RowSweep({self.name!r})"
+
+    def sweep_block(
+        self,
+        start: int,
+        stop: int,
+        y_centers: np.ndarray,
+        xs_scaled: np.ndarray,
+        ysorted: YSortedIndex,
+        cx: float,
+        bandwidth: float,
+        kernel: Kernel,
+        sorted_weights: np.ndarray | None = None,
+        recorder: "Recorder | None" = None,
+    ) -> np.ndarray:
+        """Compute the contiguous pixel-row block ``[start, stop)``.
+
+        Pure function of its arguments -- all inputs are read-only shared
+        state (the y-sorted index, the scaled pixel x-centers) plus the block
+        bounds, so blocks can be evaluated in any order or in a worker
+        process, and always yield the same ``(stop - start, X)`` float64
+        array.  The result is *unscaled*: :func:`sweep_kdv` applies the
+        kernel's rescale factor once after assembling all blocks.
+
+        With a recorder the block accumulates counters (``sweep.rows``,
+        ``sweep.empty_rows``, ``sweep.envelope_points``) and the
+        ``sweep.envelope_update`` phase timer, and passes the recorder into
+        the row function for its per-phase breakdown.  The clocks never
+        touch the arithmetic, so both paths return the same bits.
+        """
+        nch = kernel.num_channels
+        block = np.zeros((stop - start, len(xs_scaled)), dtype=np.float64)
+        rec = active(recorder)
+        perf = time.perf_counter
+        envelope_seconds = 0.0
+        envelope_points = 0
+        empty_rows = 0
         for j in range(start, stop):
             k = y_centers[j]
+            t0 = perf() if rec is not None else 0.0
             env_slice = ysorted.envelope_slice(k, bandwidth)
             env = ysorted.sorted_xy[env_slice]
             if len(env) == 0:
+                empty_rows += 1
+                if rec is not None:
+                    envelope_seconds += perf() - t0
                 continue
             u, v, half = row_frame(env, k, cx, bandwidth)
             row_weights = None if sorted_weights is None else sorted_weights[env_slice]
             chans = channel_values(np.column_stack((u, v)), nch, weights=row_weights)
-            block[j - start] = row_engine(xs_scaled, u - half, u + half, chans, kernel)
+            envelope_points += len(env)
+            if rec is not None:
+                envelope_seconds += perf() - t0
+            block[j - start] = self.row_fn(
+                xs_scaled, u - half, u + half, chans, kernel, recorder=rec
+            )
+        if rec is not None:
+            # Local accumulators flush once per block, so the recorder lock
+            # is not taken per row.
+            rows = stop - start
+            rec.count("sweep.rows", rows)
+            rec.count("sweep.empty_rows", empty_rows)
+            rec.count("sweep.envelope_points", envelope_points)
+            rec.timer(PHASE_ENVELOPE_UPDATE).add(envelope_seconds, rows)
         return block
-
-    # Instrumented twin of the loop above: identical arithmetic in identical
-    # order (the bit-identity contract), plus clocks and counters.  Local
-    # accumulators flush into the recorder once per block so the recorder
-    # lock is not taken per row.
-    perf = time.perf_counter
-    envelope_seconds = 0.0
-    envelope_points = 0
-    empty_rows = 0
-    for j in range(start, stop):
-        k = y_centers[j]
-        t0 = perf()
-        env_slice = ysorted.envelope_slice(k, bandwidth)
-        env = ysorted.sorted_xy[env_slice]
-        if len(env) == 0:
-            envelope_seconds += perf() - t0
-            empty_rows += 1
-            continue
-        u, v, half = row_frame(env, k, cx, bandwidth)
-        row_weights = None if sorted_weights is None else sorted_weights[env_slice]
-        chans = channel_values(np.column_stack((u, v)), nch, weights=row_weights)
-        envelope_seconds += perf() - t0
-        envelope_points += len(env)
-        block[j - start] = row_engine(
-            xs_scaled, u - half, u + half, chans, kernel, recorder=rec
-        )
-    rows = stop - start
-    rec.count("sweep.rows", rows)
-    rec.count("sweep.empty_rows", empty_rows)
-    rec.count("sweep.envelope_points", envelope_points)
-    rec.timer(PHASE_ENVELOPE_UPDATE).add(envelope_seconds, rows)
-    return block
-
-
-def sweep_rows_batched(
-    start: int,
-    stop: int,
-    y_centers: np.ndarray,
-    xs_scaled: np.ndarray,
-    ysorted: YSortedIndex,
-    cx: float,
-    bandwidth: float,
-    kernel: Kernel,
-    row_engine,
-    sorted_weights: np.ndarray | None = None,
-    recorder: "Recorder | None" = None,
-) -> np.ndarray:
-    """Block-batched twin of :func:`sweep_rows` for whole-block engines.
-
-    Same signature and same contract — a pure function of read-only shared
-    state returning the ``(stop - start, X)`` unscaled block — but instead of
-    looping over rows in Python it hands the *entire block* to the engine's
-    ``sweep_block`` method (see :class:`repro.core.batch.NumpyBatchEngine`),
-    which computes all rows in a handful of whole-block array operations.
-    Because the batch engine emits (row, point) pairs in exactly the per-row
-    order of the serial loop, the result is bit-identical to
-    :func:`sweep_rows` with ``slam_bucket_row_numpy``.
-    """
-    return row_engine.sweep_block(
-        start,
-        stop,
-        y_centers,
-        xs_scaled,
-        ysorted,
-        cx,
-        bandwidth,
-        kernel,
-        sorted_weights=sorted_weights,
-        recorder=active(recorder),
-    )
-
-
-def _sweep_rows_recorded(start: int, stop: int, *args, **kwargs):
-    """Picklable parallel-block wrapper: run :func:`sweep_rows` under a fresh
-    per-block recorder and ship its snapshot back with the block.
-
-    Worker threads and processes never share the caller's recorder; the
-    parent merges the returned snapshots, so merged counters equal the serial
-    sweep's counts exactly (see :meth:`repro.obs.Recorder.merge`).
-    """
-    recorder = Recorder()
-    block = sweep_rows(start, stop, *args, recorder=recorder, **kwargs)
-    return block, recorder.snapshot()
-
-
-def _sweep_rows_batched_recorded(start: int, stop: int, *args, **kwargs):
-    """Per-block recorder wrapper for :func:`sweep_rows_batched` (picklable)."""
-    recorder = Recorder()
-    block = sweep_rows_batched(start, stop, *args, recorder=recorder, **kwargs)
-    return block, recorder.snapshot()
 
 
 def sweep_kdv(
@@ -252,7 +194,7 @@ def sweep_kdv(
     raster: Raster,
     kernel: Kernel,
     bandwidth: float,
-    row_engine: RowEngine,
+    engine,
     ysorted: YSortedIndex | None = None,
     weights: np.ndarray | None = None,
     workers: "int | str | None" = 1,
@@ -261,7 +203,7 @@ def sweep_kdv(
     recorder: "Recorder | None" = None,
     coordinator=None,
 ) -> np.ndarray:
-    """Compute the raw KDV grid ``sum_p w_p K(q, p)`` with a row-sweep engine.
+    """Compute the raw KDV grid ``sum_p w_p K(q, p)`` with a sweep engine.
 
     Parameters
     ----------
@@ -273,12 +215,10 @@ def sweep_kdv(
         A finite-support kernel with an aggregate decomposition.
     bandwidth:
         The kernel bandwidth ``b`` in world units.
-    row_engine:
-        One of the SLAM per-row implementations (a :class:`RowEngine`
-        callable), or a whole-block engine exposing a ``sweep_block`` method
-        (e.g. :class:`repro.core.batch.NumpyBatchEngine`), which is handed
-        entire row blocks via :func:`sweep_rows_batched` instead of being
-        called once per row.
+    engine:
+        A sweep engine: an entry of :data:`repro.core.engines.ENGINES`, or
+        any object with the same ``name``/``threads``/``sweep_block`` shape
+        (e.g. a :class:`RowSweep` around a per-row test oracle).
     ysorted:
         Optional pre-built y-sorted index (reused across exploratory calls).
     weights:
@@ -290,12 +230,10 @@ def sweep_kdv(
         blocks to that many workers; ``"auto"`` uses the CPU count.  Any
         setting produces a bit-identical grid.
     backend:
-        ``"process"`` (default; sidesteps the GIL for the python engine),
-        ``"thread"`` (cheaper startup; effective for the numpy engine, whose
-        heavy array ops release the GIL), or ``"dist"`` (shards dispatched
-        to external worker processes via a :mod:`repro.dist` coordinator —
-        see the ``coordinator`` parameter).  ``process``/``thread`` are
-        ignored when one worker resolves; ``dist`` always routes through the
+        ``"process"`` (default; a process pool over row blocks, ignored when
+        one worker resolves) or ``"dist"`` (shards dispatched to external
+        worker processes via a :mod:`repro.dist` coordinator — see the
+        ``coordinator`` parameter).  ``dist`` always routes through the
         coordinator, sharding by ``workers`` when it is > 1 and by the
         coordinator's own default otherwise.
     stats:
@@ -316,7 +254,7 @@ def sweep_kdv(
         :func:`repro.dist.coordinator.resolve_coordinator` (process default,
         then the ``REPRO_DIST_WORKERS`` environment variable, then a
         worker-less coordinator computing shards in-process).  Ignored for
-        the in-process backends.
+        the in-process backend.
 
     Returns
     -------
@@ -354,15 +292,6 @@ def sweep_kdv(
     height = raster.height
 
     t0 = time.perf_counter()
-    row_args = (y_centers, xs_scaled, ysorted, cx, bandwidth, kernel, row_engine)
-    row_kwargs = {"sorted_weights": sorted_weights}
-    # Whole-block engines (duck-typed on `sweep_block`, e.g. the bucket numpy
-    # engine) replace the per-row Python loop with the batched driver; the
-    # block partitioning, worker dispatch, and recorder merging are shared.
-    if hasattr(row_engine, "sweep_block"):
-        block_fn, block_fn_recorded = sweep_rows_batched, _sweep_rows_batched_recorded
-    else:
-        block_fn, block_fn_recorded = sweep_rows, _sweep_rows_recorded
     with (rec or NULL_RECORDER).span("sweep"):
         if backend == "dist":
             # Distributed dispatch: the coordinator plans row shards over
@@ -381,28 +310,29 @@ def sweep_kdv(
                 cx=cx,
                 bandwidth=bandwidth,
                 kernel=kernel,
-                engine=engine_spec(row_engine),
+                engine=engine_spec(engine),
                 sorted_weights=sorted_weights,
                 shards=num_workers if num_workers > 1 else None,
                 collect=rec is not None,
             )
-            if rec is not None:
-                for snap in snapshots:
-                    rec.merge(snap)
         elif num_workers == 1:
-            grid = block_fn(0, height, *row_args, recorder=rec, **row_kwargs)
-            num_blocks = 1
-        elif rec is None:
-            num_blocks, grid, _aux = run_blocks(
-                block_fn, row_args, row_kwargs, height, num_workers, backend
+            grid = engine.sweep_block(
+                0, height, y_centers, xs_scaled, ysorted, cx, bandwidth,
+                kernel, sorted_weights=sorted_weights, recorder=rec,
             )
+            num_blocks, snapshots = 1, ()
         else:
-            # Each block records into a private recorder; merging the
-            # returned snapshots reproduces the serial counts exactly.
             num_blocks, grid, snapshots = run_blocks(
-                block_fn_recorded, row_args, row_kwargs,
-                height, num_workers, backend,
+                engine,
+                (y_centers, xs_scaled, ysorted, cx, bandwidth, kernel),
+                sorted_weights,
+                height,
+                num_workers,
+                collect=rec is not None,
             )
+        if rec is not None:
+            # Each parallel block or shard recorded into a private recorder;
+            # merging the snapshots reproduces the serial counts exactly.
             for snap in snapshots:
                 rec.merge(snap)
     elapsed = time.perf_counter() - t0
@@ -428,35 +358,7 @@ def sweep_kdv(
     return grid
 
 
-def make_grid_function(row_engine: RowEngine) -> Callable[..., np.ndarray]:
-    """Bind a row engine into a grid-level compute function."""
-
-    def grid_fn(
-        xy: np.ndarray,
-        raster: Raster,
-        kernel: Kernel,
-        bandwidth: float,
-        ysorted: YSortedIndex | None = None,
-        weights: np.ndarray | None = None,
-        workers: "int | str | None" = 1,
-        backend: str = "process",
-        stats: dict | None = None,
-        recorder: "Recorder | None" = None,
-        coordinator=None,
-    ) -> np.ndarray:
-        return sweep_kdv(
-            xy,
-            raster,
-            kernel,
-            bandwidth,
-            row_engine,
-            ysorted=ysorted,
-            weights=weights,
-            workers=workers,
-            backend=backend,
-            stats=stats,
-            recorder=recorder,
-            coordinator=coordinator,
-        )
-
-    return grid_fn
+def make_grid_function(engine) -> Callable[..., np.ndarray]:
+    """Bind an engine into a grid-level compute function
+    ``fn(xy, raster, kernel, bandwidth, **sweep_kdv_kwargs)``."""
+    return functools.partial(sweep_kdv, engine=engine)

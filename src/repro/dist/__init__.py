@@ -28,7 +28,7 @@ from .errors import (
 from .launch import LocalWorker, LocalWorkerPool, launch_local_workers
 from .plan import Shard, ShardPlan, plan_shards
 from .sched import CostModel, RenderReport, plan_shards_cost
-from .worker import WorkerServer, compute_shard, engine_spec, resolve_row_engine
+from .worker import WorkerServer, compute_shard, engine_spec, resolve_engine
 
 __all__ = [
     "Coordinator",
@@ -53,5 +53,5 @@ __all__ = [
     "WorkerServer",
     "compute_shard",
     "engine_spec",
-    "resolve_row_engine",
+    "resolve_engine",
 ]

@@ -521,7 +521,8 @@ class Coordinator:
         collect: bool = False,
     ) -> "tuple[int, np.ndarray, list[dict]]":
         """Render one sweep across the pool; the distributed twin of the
-        ``run_blocks`` call inside :func:`repro.core.sweep.sweep_kdv`.
+        process-pool ``run_blocks`` call inside
+        :func:`repro.core.sweep.sweep_kdv`.
 
         All geometry arguments are exactly the precomputed state ``sweep_kdv``
         holds at dispatch time; ``engine`` is a wire spec from

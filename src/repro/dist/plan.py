@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.envelope import YSortedIndex
+from ..core.parallel import partition_rows
 
 __all__ = [
     "Shard",
@@ -119,17 +120,6 @@ class ShardPlan:
         return "\n".join(lines)
 
 
-def _near_equal_bounds(total: int, parts: int) -> list[int]:
-    """``parts + 1`` monotone boundaries splitting ``range(total)`` into
-    near-equal contiguous ranges (same arithmetic as
-    :func:`repro.core.parallel.partition_rows`)."""
-    base, extra = divmod(total, parts)
-    bounds = [0]
-    for i in range(parts):
-        bounds.append(bounds[-1] + base + (1 if i < extra else 0))
-    return bounds
-
-
 def _validate(n: int, height: int, bandwidth: float, shards: int) -> None:
     if n < 1:
         raise ValueError("cannot plan shards over an empty dataset")
@@ -146,8 +136,9 @@ def midpoint_row_bounds(
 ) -> list[int]:
     """Row boundaries seeded from a near-equal *owned-points* split.
 
-    The owned point ranges are cut into ``k`` near-equal slices of the
-    y-sorted order; each internal row boundary is the first row whose center
+    The owned point ranges are cut into ``k <= len(ysorted)`` near-equal
+    slices of the y-sorted order (:func:`repro.core.parallel.partition_rows`);
+    each internal row boundary is the first row whose center
     lies at or beyond the midpoint between the two boundary points.  This is
     the classic midpoint seed — both the refined ``balance="points"`` mode
     and the cost-model planner (:mod:`repro.dist.sched`) start from it.
@@ -155,9 +146,8 @@ def midpoint_row_bounds(
     n = len(ysorted)
     height = int(len(y_centers))
     sorted_y = ysorted.sorted_y
-    own_bounds = _near_equal_bounds(n, k)
     row_bounds = [0]
-    for b_i in own_bounds[1:-1]:
+    for _, b_i in partition_rows(n, k)[:-1]:
         split_y = 0.5 * (sorted_y[b_i - 1] + sorted_y[b_i])
         r = int(np.searchsorted(y_centers, split_y, side="left"))
         row_bounds.append(min(max(r, row_bounds[-1]), height))
@@ -387,6 +377,6 @@ def plan_shards(
 
             row_bounds, _ = refine_row_bounds(halo_count, row_bounds)
     else:
-        row_bounds = _near_equal_bounds(height, k)
+        row_bounds = [0] + [stop for _, stop in partition_rows(height, k)]
 
     return build_plan(ysorted, y_centers, bandwidth, row_bounds, balance)

@@ -26,7 +26,8 @@ zero-copy shared-memory shard transport with co-located workers (see
 slot in without another version bump.  v3 added the CANCEL frame and
 progress-bearing heartbeats for coordinator-side work stealing
 (``docs/scheduling.md``), plus HELLO ``specs`` (cpu count) feeding the
-scheduler's capacity priors.
+scheduler's capacity priors.  v4 replaced the TASK ``engine`` spec kinds with
+one registry lookup, ``{"name", "threads"}``.
 
 All send/recv helpers return the byte count they moved, which the
 coordinator feeds the ``dist.bytes_tx`` / ``dist.bytes_rx`` counters.
@@ -72,7 +73,9 @@ __all__ = [
 #: v3: CANCEL frames truncate an in-flight shard at a row boundary (work
 #: stealing), heartbeats carry ``rows_done`` progress, RESULT carries the
 #: actually-computed ``row_stop``, and HELLO adds ``specs``.
-PROTO_VERSION = 3
+#: v4: the TASK ``engine`` spec is ``{"name": <registry name>, "threads": N}``
+#: (was one of the ``row``/``batch``/``native`` kinds).
+PROTO_VERSION = 4
 
 #: Frame preamble — rejects peers that are not speaking this protocol at all.
 MAGIC = b"RKDV"

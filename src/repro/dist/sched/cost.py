@@ -7,9 +7,11 @@ time is modelled as::
 
     seconds  ~=  c0  +  c1 * rows  +  c2 * pairs
 
-with one coefficient vector per *engine key* (``numpy`` row engines, the
-batched driver, and the native engine have wildly different per-pair costs —
-PR 9 made native ~6x cheaper).  ``pairs`` is the band's envelope-pair count
+with one coefficient vector per *engine key* — the engine's registry name,
+plus its OpenMP width when it runs more than one thread
+(``slam_bucket.numpy``, ``slam_sort.numpy``, ``slam_bucket.native@4``):
+engines have wildly different per-pair costs (native is ~6x cheaper than
+the numpy block sweep).  ``pairs`` is the band's envelope-pair count
 ``sum_j |envelope(row_j)|``, computed exactly in O(Y log n) by the planner
 (:func:`repro.dist.sched.envelope_profile`) — the same quantity the
 ``sweep.envelope_points`` counter reports after the fact.
@@ -59,17 +61,14 @@ EWMA_ALPHA = 0.3
 _SCHEMA = 1
 
 
-def engine_key(spec: "dict | None") -> str:
-    """Collapse an engine spec (``repro.dist.worker.engine_spec``) to a
-    calibration pool key.  Distinct keys get distinct coefficient vectors."""
-    if not spec:
-        return "batch"
-    kind = spec.get("kind", "batch")
-    if kind == "row":
-        return f"row:{spec.get('name', '?')}"
-    if kind == "native":
-        return f"native@{spec.get('threads') or 0}"
-    return str(kind)
+def engine_key(spec: dict) -> str:
+    """The calibration pool key of an engine wire spec
+    (:func:`repro.dist.worker.engine_spec`): the registry name, suffixed
+    ``@<threads>`` for a multi-threaded engine.  Distinct keys get distinct
+    coefficient vectors.  A malformed spec still gets a key; the worker that
+    resolves it reports the error."""
+    name, threads = spec.get("name"), spec.get("threads", 1)
+    return str(name) if threads == 1 else f"{name}@{threads}"
 
 
 def _work_units(rows: float, pairs: float) -> float:

@@ -4,8 +4,7 @@ A worker is a small TCP server built on :mod:`repro.dist.proto`: it accepts
 one coordinator connection at a time, performs the version handshake, then
 loops — receive a TASK frame describing one shard (halo point slice, the row
 band's y-centers, sweep configuration), compute the partial grid with the
-requested engine via the *same* :func:`repro.core.sweep.sweep_rows` /
-:func:`~repro.core.sweep.sweep_rows_batched` drivers the serial sweep uses,
+requested engine's ``sweep_block`` — the *same* call the serial sweep makes —
 and stream the block back as a RESULT frame.  While a shard is computing, a
 side thread emits HEARTBEAT frames carrying ``rows_done`` progress so the
 coordinator can tell a slow shard from a dead worker — and price how much
@@ -18,16 +17,18 @@ mid-flight.  The worker then returns a normal, shorter RESULT whose
 ``row_stop`` reflects what it actually computed; the stolen tail is
 recomputed bit-identically elsewhere (see ``docs/scheduling.md``).  Chunk
 boundaries never change the numbers — each chunk is the same
-``sweep_rows`` call over the same per-row envelopes the serial sweep makes.
+``sweep_block`` call over the same per-row envelopes the serial sweep makes.
 
 :func:`compute_shard` is deliberately a standalone pure function: the
 coordinator calls the identical code in-process for graceful degradation
 when no workers are reachable, so the local fallback is bit-identical to the
 remote path by construction.
 
-Engines cross the wire as small declarative *specs* (:func:`engine_spec` /
-:func:`resolve_row_engine`) rather than pickled callables, so a worker only
-ever executes code from its own installed package.
+Engines cross the wire as small declarative *specs* — their registry name
+and thread count, ``{"name": "slam_bucket.numpy", "threads": 1}``
+(:func:`engine_spec` / :func:`resolve_engine`) — rather than pickled
+callables, so a worker only ever executes code from its own installed
+package.
 
 Two fault-injection knobs model degraded workers deterministically:
 ``delay_s`` sleeps before computing each shard (heartbeats still flow),
@@ -50,21 +51,16 @@ import time
 
 import numpy as np
 
-from ..core.batch import NumpyBatchEngine
+from ..core.engines import ENGINES, get_engine
 from ..core.envelope import YSortedIndex
-from ..core.native import NATIVE_AVAILABLE, NativeEngine
 from ..core.kernels import get_kernel
-from ..core.slam_bucket import slam_bucket_row_numpy, slam_bucket_row_python
-from ..core.slam_sort import slam_sort_row_numpy, slam_sort_row_python
-from ..core.sweep import sweep_rows, sweep_rows_batched
 from ..obs import Recorder
 from . import proto, shm
 from .errors import ConnectionClosed, DistError, ProtocolError
 
 __all__ = [
-    "ROW_ENGINES",
     "engine_spec",
-    "resolve_row_engine",
+    "resolve_engine",
     "compute_shard",
     "compute_shard_incremental",
     "WorkerServer",
@@ -72,62 +68,38 @@ __all__ = [
     "parse_ready_line",
 ]
 
-#: Wire names for the per-row engines.  Only names in this table (plus the
-#: ``batch`` and ``native`` spec kinds of the block engines) can cross the
-#: wire — workers never unpickle callables, so a coordinator cannot make a
-#: worker run arbitrary code.  ``slam_bucket.numpy`` names the per-row
-#: oracle; the default bucket engine travels as a ``batch`` spec.
-ROW_ENGINES = {
-    "slam_sort.python": slam_sort_row_python,
-    "slam_sort.numpy": slam_sort_row_numpy,
-    "slam_bucket.python": slam_bucket_row_python,
-    "slam_bucket.numpy": slam_bucket_row_numpy,
-}
+
+def engine_spec(engine) -> dict:
+    """The wire spec of a sweep engine (reverse of :func:`resolve_engine`):
+    its registry name and thread count."""
+    return {"name": engine.name, "threads": engine.threads}
 
 
-def engine_spec(row_engine) -> dict:
-    """The wire spec for a sweep engine (reverse of :func:`resolve_row_engine`).
+def resolve_engine(spec):
+    """The registered engine a wire spec names.
 
-    Row engines are matched by identity against :data:`ROW_ENGINES`;
-    :class:`~repro.core.batch.NumpyBatchEngine` instances serialize as a
-    ``batch`` spec carrying their chunking knob.
+    Only names in :data:`repro.core.engines.ENGINES` resolve — workers never
+    unpickle callables, so a coordinator cannot make a worker run arbitrary
+    code.  A malformed spec raises :class:`ProtocolError`.  A
+    ``slam_bucket.native`` spec on a worker without the compiled extension
+    runs the numpy block engine, which computes the same bits.
     """
-    if isinstance(row_engine, NativeEngine):
-        return {"kind": "native", "threads": row_engine.threads}
-    if isinstance(row_engine, NumpyBatchEngine):
-        return {"kind": "batch", "max_block_bytes": row_engine.max_block_bytes}
-    for name, fn in ROW_ENGINES.items():
-        if fn is row_engine:
-            return {"kind": "row", "name": name}
-    raise DistError(
-        f"engine {row_engine!r} has no wire name; distributable engines are "
-        f"{sorted(ROW_ENGINES)}, the numpy block engine, and native"
-    )
-
-
-def resolve_row_engine(spec: dict):
-    """Instantiate the engine a wire spec describes."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ProtocolError(f"malformed engine spec: {spec!r}")
-    if spec["kind"] == "batch":
-        max_block_bytes = spec.get("max_block_bytes")
-        if max_block_bytes:
-            return NumpyBatchEngine(max_block_bytes)
-        return NumpyBatchEngine()
-    if spec["kind"] == "native":
-        threads = int(spec.get("threads") or 1)
-        if NATIVE_AVAILABLE:
-            return NativeEngine(threads=threads)
-        # Bit-identical fallback: a worker whose checkout has no compiled
-        # extension still computes the exact same grid (the native engine's
-        # contract is bit-identity with the numpy block engine), just slower.
-        return NumpyBatchEngine()
-    if spec["kind"] == "row":
-        try:
-            return ROW_ENGINES[spec["name"]]
-        except KeyError:
-            raise ProtocolError(f"unknown row engine {spec['name']!r}") from None
-    raise ProtocolError(f"unknown engine spec kind {spec['kind']!r}")
+    if not isinstance(spec, dict):
+        raise ProtocolError(f"engine spec must be a dict, got {spec!r}")
+    name = spec.get("name")
+    threads = spec.get("threads", 1)
+    if not isinstance(name, str):
+        raise ProtocolError(f"engine spec has no string name: {spec!r}")
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
+        raise ProtocolError(
+            f"engine spec threads must be an int >= 1, got {threads!r}"
+        )
+    try:
+        return get_engine(name, threads)
+    except KeyError:
+        raise ProtocolError(
+            f"unknown engine {name!r}; registered: {sorted(ENGINES)}"
+        ) from None
 
 
 def compute_shard_incremental(
@@ -146,7 +118,7 @@ def compute_shard_incremental(
     :class:`YSortedIndex` here is an identity permutation — every row's
     envelope slice has exactly the content and order the serial sweep would
     see, which is what makes the merged grid bit-identical.  Chunking only
-    changes *when* rows are computed, never *what*: the sweep drivers are
+    changes *when* rows are computed, never *what*: the engines are
     row-independent, so ``N`` chunked calls concatenate to the single-call
     block byte for byte (and the recorder counters they emit are additive
     over chunks, so snapshots stay serial-equal too).
@@ -183,14 +155,11 @@ def compute_shard_incremental(
         finally:
             shm.detach(seg)
     kernel = get_kernel(task["kernel"])
-    engine = resolve_row_engine(task["engine"])
+    engine = resolve_engine(task["engine"])
     ysorted = YSortedIndex(np.asarray(task["halo_xy"], dtype=np.float64))
     y_centers = np.asarray(task["y_centers"], dtype=np.float64)
     xs_scaled = np.asarray(task["xs_scaled"], dtype=np.float64)
     recorder = Recorder() if task.get("collect") else None
-    driver = (
-        sweep_rows_batched if hasattr(engine, "sweep_block") else sweep_rows
-    )
     total = len(y_centers)
     step = total if not chunk_rows or chunk_rows <= 0 else int(chunk_rows)
     parts: list[np.ndarray] = []
@@ -203,7 +172,7 @@ def compute_shard_incremental(
             break
         hi = min(done + step, stop)
         parts.append(
-            driver(
+            engine.sweep_block(
                 done,
                 hi,
                 y_centers,
@@ -212,7 +181,6 @@ def compute_shard_incremental(
                 float(task["cx"]),
                 float(task["bandwidth"]),
                 kernel,
-                engine,
                 sorted_weights=task.get("halo_weights"),
                 recorder=recorder,
             )

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.engines import slam_bucket_grid, slam_sort_grid
 from ..core.envelope import YSortedIndex
 from ..core.kernels import get_kernel
 from ..core.rao import rao_orientation
 from ..core.result import KDVResult
-from ..core.slam_bucket import slam_bucket_grid
-from ..core.slam_sort import slam_sort_grid
 from ..data.points import PointSet
 from ..viz.region import Raster, Region
 

@@ -7,7 +7,7 @@ The engine's contract (repro.core.batch) has two halves:
   :func:`repro.core.sweep.sweep_kdv` driving the per-row oracle
   ``slam_bucket_row_numpy``, for every kernel, bandwidth, weighting, worker
   count, backend, RAO orientation, raster sub-region, and
-  ``max_block_bytes`` setting (the python engine agrees to float
+  ``MAX_BLOCK_BYTES`` chunk budget (the python engine agrees to float
   tolerance).  The block engines bucket, so they are registered under the
   bucket methods only; ``slam_sort`` rejects them;
 * **serial-equal observability** — recorder counters and phase-timer call
@@ -26,26 +26,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Raster, Region, compute_kdv
-from repro.core.batch import (
-    DEFAULT_MAX_BLOCK_BYTES,
-    NumpyBatchEngine,
-    numpy_batch_grid,
-)
+from repro.core import batch
+from repro.core.batch import MAX_BLOCK_BYTES, NumpyBatchEngine
 from repro.core.bounds import bucket_indices
+from repro.core.engines import slam_bucket_grid
 from repro.core.envelope import YSortedIndex
 from repro.core.kernels import get_kernel
 from repro.core.native import NATIVE_AVAILABLE, native_grid
+from repro.core.parallel import BACKENDS
 from repro.core.rao import with_rao
 from repro.core.slam_bucket import slam_bucket_row_numpy
-from repro.core.sweep import make_grid_function, sweep_kdv
+from repro.core.sweep import RowSweep, make_grid_function, sweep_kdv
 from repro.obs import Recorder
 from repro.viz.bandwidth import resolve_bandwidth
 
 KERNEL_NAMES = ("uniform", "epanechnikov", "quartic")
 
-#: The per-row oracle as a grid function (the same driver the default
-#: engine replaced), for comparisons through RAO.
-_oracle_grid = make_grid_function(slam_bucket_row_numpy)
+#: The per-row oracle (the loop the default engine replaced) and the
+#: default engine's grid function.
+ORACLE = RowSweep("slam_bucket_row_numpy", slam_bucket_row_numpy)
+_oracle_grid = make_grid_function(ORACLE)
+numpy_grid = slam_bucket_grid["numpy"]
 
 
 @pytest.fixture(scope="module")
@@ -65,11 +66,9 @@ def _grids(xy, raster, kernel_name, bandwidth, engine, **kwargs):
     block engine."""
     kernel = get_kernel(kernel_name)
     if engine == "numpy":
-        return numpy_batch_grid(xy, raster, kernel, bandwidth, **kwargs)
+        return numpy_grid(xy, raster, kernel, bandwidth, **kwargs)
     assert engine == "rows", engine
-    return sweep_kdv(
-        xy, raster, kernel, bandwidth, slam_bucket_row_numpy, **kwargs
-    )
+    return _oracle_grid(xy, raster, kernel, bandwidth, **kwargs)
 
 
 class TestBitIdentity:
@@ -86,7 +85,7 @@ class TestBitIdentity:
         b = _grids(cluster_xy, raster, kernel_name, 9.0, "numpy", weights=w)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("backend", ("thread", "process"))
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_parallel_workers(self, backend, cluster_xy):
         raster = Raster(Region(0.0, 0.0, 100.0, 80.0), 48, 40)
         serial = _grids(cluster_xy, raster, "epanechnikov", 9.0, "rows")
@@ -115,17 +114,15 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize(
         "max_block_bytes",
-        (1, 4096, 64 * 1024, DEFAULT_MAX_BLOCK_BYTES, 1 << 30),
+        (1, 4096, 64 * 1024, MAX_BLOCK_BYTES, 1 << 30),
     )
-    def test_chunking_invariance(self, max_block_bytes, cluster_xy):
+    def test_chunking_invariance(self, max_block_bytes, cluster_xy, monkeypatch):
         """Every chunk boundary placement — from one row per chunk to the
         whole block in one chunk — produces the same bits."""
         raster = Raster(Region(0.0, 0.0, 100.0, 80.0), 40, 30)
         reference = _grids(cluster_xy, raster, "quartic", 9.0, "rows")
-        got = _grids(
-            cluster_xy, raster, "quartic", 9.0, "numpy",
-            max_block_bytes=max_block_bytes,
-        )
+        monkeypatch.setattr(batch, "MAX_BLOCK_BYTES", max_block_bytes)
+        got = _grids(cluster_xy, raster, "quartic", 9.0, "numpy")
         assert np.array_equal(reference, got)
 
     def test_python_engine_close(self, cluster_xy):
@@ -133,8 +130,11 @@ class TestBitIdentity:
 
         raster = Raster(Region(0.0, 0.0, 100.0, 80.0), 24, 18)
         kernel = get_kernel("epanechnikov")
-        a = sweep_kdv(cluster_xy, raster, kernel, 9.0, slam_bucket_row_python)
-        b = numpy_batch_grid(cluster_xy, raster, kernel, 9.0)
+        a = sweep_kdv(
+            cluster_xy, raster, kernel, 9.0,
+            RowSweep("slam_bucket.python", slam_bucket_row_python),
+        )
+        b = numpy_grid(cluster_xy, raster, kernel, 9.0)
         scale = max(a.max(), 1.0)
         np.testing.assert_allclose(b / scale, a / scale, atol=1e-12)
 
@@ -144,15 +144,18 @@ class TestScratchReuse:
     more allocation (the hoisted-buffer contract in the chunking comment)."""
 
     @staticmethod
-    def _sweep_peak(xy, weights, height: int, max_block_bytes: int) -> int:
+    def _sweep_peak(
+        monkeypatch, xy, weights, height: int, max_block_bytes: int
+    ) -> int:
         """tracemalloc peak (bytes) of one warmed sweep_block call."""
         import tracemalloc
 
+        monkeypatch.setattr(batch, "MAX_BLOCK_BYTES", max_block_bytes)
         raster = Raster(Region(0.0, 0.0, 100.0, 80.0), 64, height)
         kernel = get_kernel("quartic")  # most channels -> most scratch
         idx = YSortedIndex(xy)
         sw = weights[idx.order]
-        engine = NumpyBatchEngine(max_block_bytes=max_block_bytes)
+        engine = NumpyBatchEngine()
         args = (
             0, height, raster.y_centers(),
             (raster.x_centers() - 50.0) / 9.0, idx, 50.0, 9.0, kernel,
@@ -167,26 +170,28 @@ class TestScratchReuse:
         return peak
 
     def test_chunking_adds_no_allocation_growth(
-        self, cluster_xy, cluster_weights
+        self, cluster_xy, cluster_weights, monkeypatch
     ):
         """Doubling the row count (and therefore the chunk count, at a fixed
-        ``max_block_bytes``) may grow the peak by the extra output rows and
+        ``MAX_BLOCK_BYTES``) may grow the peak by the extra output rows and
         envelope bookkeeping — never by per-chunk scratch accumulation."""
-        few = self._sweep_peak(cluster_xy, cluster_weights, 48, 16 * 1024)
-        many = self._sweep_peak(cluster_xy, cluster_weights, 96, 16 * 1024)
+        args = (monkeypatch, cluster_xy, cluster_weights)
+        few = self._sweep_peak(*args, 48, 16 * 1024)
+        many = self._sweep_peak(*args, 96, 16 * 1024)
         # Outputs are (height, 64) float64; row-proportional bookkeeping
         # (envelope bounds, cumsums) gets a generous 64 KiB of slack.
         out_delta = (96 - 48) * 64 * 8
         assert many <= few + out_delta + 64 * 1024
 
     def test_small_chunks_bound_the_working_set(
-        self, cluster_xy, cluster_weights
+        self, cluster_xy, cluster_weights, monkeypatch
     ):
         """A chunked sweep must peak well below the single-chunk sweep: the
-        whole point of ``max_block_bytes`` is a bounded working set, and the
+        whole point of ``MAX_BLOCK_BYTES`` is a bounded working set, and the
         hoisted scratch is sized to the largest chunk, not the block."""
-        chunked = self._sweep_peak(cluster_xy, cluster_weights, 96, 16 * 1024)
-        single = self._sweep_peak(cluster_xy, cluster_weights, 96, 1 << 30)
+        args = (monkeypatch, cluster_xy, cluster_weights)
+        chunked = self._sweep_peak(*args, 96, 16 * 1024)
+        single = self._sweep_peak(*args, 96, 1 << 30)
         assert chunked < single
 
 
@@ -213,8 +218,8 @@ def test_batch_parity_property(
     weights = rng.uniform(0.1, 3.0, n) if weighted else None
     raster = Raster(Region(0.0, 0.0, 50.0, 40.0), width, height)
     kernel = get_kernel(kernel_name)
-    a = sweep_kdv(xy, raster, kernel, b, slam_bucket_row_numpy, weights=weights)
-    c = numpy_batch_grid(xy, raster, kernel, b, weights=weights)
+    a = sweep_kdv(xy, raster, kernel, b, ORACLE, weights=weights)
+    c = numpy_grid(xy, raster, kernel, b, weights=weights)
     assert np.array_equal(a, c)
     if NATIVE_AVAILABLE:
         d = native_grid(xy, raster, kernel, b, weights=weights, workers=threads)
@@ -328,8 +333,8 @@ class TestBatchEdgeCases:
         xy = np.array([[5.0, 5.0], [5.0, 6.0], [4.0, 5.5]])
         raster = Raster(Region(0.0, 0.0, 10.0, 10.0), 1, 8)
         kernel = get_kernel("epanechnikov")
-        a = sweep_kdv(xy, raster, kernel, 4.0, slam_bucket_row_numpy)
-        b = numpy_batch_grid(xy, raster, kernel, 4.0)
+        a = sweep_kdv(xy, raster, kernel, 4.0, ORACLE)
+        b = numpy_grid(xy, raster, kernel, 4.0)
         assert np.array_equal(a, b)
         assert b.shape == (8, 1)
 
@@ -338,7 +343,7 @@ class TestBatchEdgeCases:
         driver's zero-pair early path must return the all-zeros block."""
         xy = np.full((10, 2), 1000.0)
         raster = Raster(Region(0.0, 0.0, 10.0, 10.0), 6, 5)
-        grid = numpy_batch_grid(xy, raster, get_kernel("quartic"), 2.0)
+        grid = numpy_grid(xy, raster, get_kernel("quartic"), 2.0)
         assert grid.shape == (5, 6)
         assert not grid.any()
 
@@ -351,8 +356,8 @@ class TestBatchEdgeCases:
         )
         raster = Raster(Region(0.0, 0.0, 10.0, 10.0), 12, 20)
         kernel = get_kernel("epanechnikov")
-        a = sweep_kdv(xy, raster, kernel, 0.4, slam_bucket_row_numpy)
-        b = numpy_batch_grid(xy, raster, kernel, 0.4)
+        a = sweep_kdv(xy, raster, kernel, 0.4, ORACLE)
+        b = numpy_grid(xy, raster, kernel, 0.4)
         assert np.array_equal(a, b)
         assert not b[0].any() and not b[-1].any() and b.any()
 
@@ -370,8 +375,8 @@ class TestBatchEdgeCases:
         xy = np.array([[3.0, 2.0], [7.0, 2.0], [5.0, 2.0]])
         raster = Raster(Region(-0.5, -0.5, 10.5, 4.5), 11, 5)
         kernel = get_kernel("uniform")
-        a = sweep_kdv(xy, raster, kernel, 2.0, slam_bucket_row_numpy)
-        b = numpy_batch_grid(xy, raster, kernel, 2.0)
+        a = sweep_kdv(xy, raster, kernel, 2.0, ORACLE)
+        b = numpy_grid(xy, raster, kernel, 2.0)
         assert np.array_equal(a, b)
 
     def test_zero_pixel_intervals(self):
@@ -386,8 +391,8 @@ class TestBatchEdgeCases:
         xy = np.array([[1.5, 1.0], [1.5, 1.2]])
         raster = Raster(Region(-0.5, -0.5, 4.5, 2.5), 5, 3)
         kernel = get_kernel("epanechnikov")
-        a = sweep_kdv(xy, raster, kernel, 0.4, slam_bucket_row_numpy)
-        b = numpy_batch_grid(xy, raster, kernel, 0.4)
+        a = sweep_kdv(xy, raster, kernel, 0.4, ORACLE)
+        b = numpy_grid(xy, raster, kernel, 0.4)
         assert np.array_equal(a, b)
 
     def test_empty_block_request(self):
@@ -405,11 +410,7 @@ class TestBatchEdgeCases:
 
         raster = Raster(Region(0.0, 0.0, 100.0, 80.0), 8, 8)
         with pytest.raises(ValueError, match="numpy_batch.*gaussianish"):
-            numpy_batch_grid(cluster_xy, raster, FakeKernel(), 5.0)
-
-    def test_bad_max_block_bytes_rejected(self):
-        with pytest.raises(ValueError, match="max_block_bytes"):
-            NumpyBatchEngine(max_block_bytes=0)
+            numpy_grid(cluster_xy, raster, FakeKernel(), 5.0)
 
 
 class TestRecorderParity:
@@ -437,7 +438,7 @@ class TestRecorderParity:
     def test_parallel_merge_equals_serial(self, cluster_xy):
         serial = self._snapshot("numpy", cluster_xy)
         merged = self._snapshot(
-            "numpy", cluster_xy, workers=3, backend="thread"
+            "numpy", cluster_xy, workers=3, backend="process"
         )
         # sweep.blocks legitimately reflects the partitioning; every
         # row/envelope count must still merge to the serial totals.
@@ -482,7 +483,7 @@ class TestYSortedReuse:
         kernel = get_kernel("epanechnikov")
         idx = YSortedIndex(cluster_xy)
         rec = Recorder()
-        numpy_batch_grid(cluster_xy, raster, kernel, 9.0, ysorted=idx,
+        numpy_grid(cluster_xy, raster, kernel, 9.0, ysorted=idx,
                          recorder=rec)
         assert "index_build" not in rec.snapshot()["phases"]
 

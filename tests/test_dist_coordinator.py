@@ -17,8 +17,7 @@ import pytest
 
 from repro import compute_kdv
 from repro.core.batch import NumpyBatchEngine
-from repro.core.slam_bucket import slam_bucket_row_numpy
-from repro.core.slam_sort import slam_sort_row_python
+from repro.core.engines import ENGINES
 from repro.dist import (
     Coordinator,
     DistError,
@@ -26,7 +25,7 @@ from repro.dist import (
     WorkerServer,
     engine_spec,
     launch_local_workers,
-    resolve_row_engine,
+    resolve_engine,
 )
 from repro.serve import TileService
 
@@ -42,24 +41,19 @@ KW = dict(size=(16, 12), bandwidth=9.0, method="slam_bucket")
 
 class TestEngineSpec:
     def test_row_engine_roundtrip(self):
-        for fn in (slam_bucket_row_numpy, slam_sort_row_python):
-            spec = engine_spec(fn)
-            assert spec["kind"] == "row"
-            assert resolve_row_engine(spec) is fn
+        for name in ("slam_bucket.python", "slam_sort.python", "slam_sort.numpy"):
+            spec = engine_spec(ENGINES[name])
+            assert spec == {"name": name, "threads": 1}
+            assert resolve_engine(spec) is ENGINES[name]
 
     def test_batch_engine_roundtrip(self):
-        engine = NumpyBatchEngine(max_block_bytes=1 << 16)
-        spec = engine_spec(engine)
-        assert spec == {"kind": "batch", "max_block_bytes": 1 << 16}
-        clone = resolve_row_engine(spec)
-        assert isinstance(clone, NumpyBatchEngine)
-        assert clone.max_block_bytes == 1 << 16
+        spec = engine_spec(NumpyBatchEngine())
+        assert spec == {"name": "slam_bucket.numpy", "threads": 1}
+        assert isinstance(resolve_engine(spec), NumpyBatchEngine)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(DistError, match="engine"):
-            engine_spec(lambda *a, **k: None)
-        with pytest.raises(DistError, match="engine"):
-            resolve_row_engine({"kind": "row", "name": "no.such.engine"})
+            resolve_engine({"name": "no.such.engine", "threads": 1})
 
 
 class TestSocketParity:

@@ -199,6 +199,15 @@ class TestHandshake:
         with pytest.raises(ProtocolError, match="version mismatch"):
             proto.server_handshake(b, timeout=5.0)
 
+    def test_server_refuses_v3_peer(self, pair):
+        """v4 changed the TASK engine spec, so a v3 coordinator (which
+        sends ``kind`` specs) is refused by its first frame."""
+        assert proto.PROTO_VERSION == 4
+        a, b = pair
+        a.sendall(_frame(proto.MSG_HELLO, b"", version=3))
+        with pytest.raises(ProtocolError, match="peer speaks v3"):
+            proto.server_handshake(b, timeout=5.0)
+
     def test_server_rejects_malformed_hello(self, pair):
         a, b = pair
         proto.send_msg(a, proto.MSG_HELLO, {"pid": 3})

@@ -56,11 +56,11 @@ class TestEnvelopeProfile:
 
 class TestEngineKey:
     def test_distinct_pools(self):
-        assert engine_key(None) == "batch"
-        assert engine_key({"kind": "batch", "max_block_bytes": 1}) == "batch"
-        assert engine_key({"kind": "row", "name": "m.f"}) == "row:m.f"
-        assert engine_key({"kind": "native", "threads": 4}) == "native@4"
-        assert engine_key({"kind": "native"}) == "native@0"
+        spec = {"name": "slam_bucket.numpy", "threads": 1}
+        assert engine_key(spec) == "slam_bucket.numpy"
+        assert engine_key({"name": "slam_sort.numpy"}) == "slam_sort.numpy"
+        native = {"name": "slam_bucket.native", "threads": 4}
+        assert engine_key(native) == "slam_bucket.native@4"
 
 
 class TestCostModel:

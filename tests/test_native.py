@@ -38,7 +38,7 @@ from repro.dist.worker import (
     WorkerServer,
     compute_shard,
     engine_spec,
-    resolve_row_engine,
+    resolve_engine,
 )
 from repro.obs import Recorder
 
@@ -84,10 +84,10 @@ class TestAvailability:
         assert native_max_threads() >= 1
 
     def test_engine_tables_match_availability(self):
-        from repro.core.slam_bucket import slam_bucket_grid
-        from repro.core.slam_sort import slam_sort_grid
+        from repro.core.engines import ENGINES, slam_bucket_grid, slam_sort_grid
 
         assert ("native" in slam_bucket_grid) == NATIVE_AVAILABLE
+        assert ("slam_bucket.native" in ENGINES) == NATIVE_AVAILABLE
         # native buckets, so the sorting method never lists it
         assert "native" not in slam_sort_grid
 
@@ -227,8 +227,8 @@ class TestNativeParity:
         from repro.core.native import NativeEngine
 
         spec = engine_spec(NativeEngine(threads=3))
-        assert spec == {"kind": "native", "threads": 3}
-        engine = resolve_row_engine(spec)
+        assert spec == {"name": "slam_bucket.native", "threads": 3}
+        engine = resolve_engine(spec)
         assert isinstance(engine, NativeEngine)
         assert engine.threads == 3
 
@@ -246,10 +246,10 @@ class TestNativeParity:
 def test_native_spec_falls_back_to_batch_when_absent(monkeypatch):
     """A worker without the extension resolves a native spec to the
     bit-identical numpy_batch engine instead of erroring the shard."""
-    import repro.dist.worker as worker_mod
+    import repro.core.engines as engines_mod
 
-    monkeypatch.setattr(worker_mod, "NATIVE_AVAILABLE", False)
-    engine = worker_mod.resolve_row_engine({"kind": "native", "threads": 2})
+    monkeypatch.setattr(engines_mod, "NATIVE_AVAILABLE", False)
+    engine = resolve_engine({"name": "slam_bucket.native", "threads": 2})
     assert isinstance(engine, NumpyBatchEngine)
 
 
@@ -372,7 +372,8 @@ class TestShmTransport:
                         ysorted=ysorted, y_centers=y_centers,
                         xs_scaled=xs_scaled, cx=cx, bandwidth=9.0,
                         kernel=get_kernel("epanechnikov"),
-                        engine={"kind": "no-such-engine"}, shards=2,
+                        engine={"name": "no-such-engine", "threads": 1},
+                        shards=2,
                     )
             assert not _leftover_segments()
         finally:

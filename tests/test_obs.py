@@ -358,7 +358,7 @@ class TestComputeIntegration:
         )
         parallel = compute_kdv(
             workload, size=(64, 48), bandwidth=10.0, method=method,
-            workers=2, backend="thread", collect_stats=True,
+            workers=2, collect_stats=True,
         )
         assert np.array_equal(serial.grid, parallel.grid)
         for name in ("sweep.rows", "sweep.envelope_points"):

@@ -1,4 +1,4 @@
-"""Tests for the parallel row-block executor (core.parallel + sweep threading).
+"""Tests for the parallel row-block executor (core.parallel + sweep_kdv).
 
 The contract under test: any ``workers``/``backend`` combination returns a
 grid *bit-identical* (``np.array_equal``, not allclose) to the serial sweep,
@@ -26,10 +26,11 @@ from repro.core.parallel import (
     validate_backend,
 )
 from repro.core.slam_bucket import slam_bucket_row_numpy
-from repro.core.sweep import sweep_kdv, sweep_rows
+from repro.core.sweep import RowSweep, sweep_kdv
 
 KERNEL_NAMES = ("uniform", "epanechnikov", "quartic")
 ENGINES = ("python", "numpy")
+BUCKET_ROWS = RowSweep("slam_bucket_row_numpy", slam_bucket_row_numpy)
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +63,11 @@ class TestValidateBackend:
             validate_backend(backend)
 
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            validate_backend("mpi")
+        # "thread" is a deleted backend: it lost to the process pool at the
+        # paper cells and to serial at small rasters.
+        for backend in ("mpi", "thread"):
+            with pytest.raises(ValueError, match="available: dist, process"):
+                validate_backend(backend)
 
 
 class TestPartitionRows:
@@ -102,18 +106,17 @@ class TestPartitionRows:
 
 class TestSweepRowsBlocks:
     def test_blocks_reassemble_full_sweep(self, xy):
-        """sweep_rows over any partition concatenates to the full grid."""
+        """sweep_block over any partition concatenates to the full grid."""
         raster = Raster(Region(0, 0, 100, 80), 21, 17)
         kernel = get_kernel("epanechnikov")
         ysorted = YSortedIndex(xy)
         cx = (raster.region.xmin + raster.region.xmax) / 2.0
         xs_scaled = (raster.x_centers() - cx) / 9.0
-        args = (raster.y_centers(), xs_scaled, ysorted, cx, 9.0, kernel,
-                slam_bucket_row_numpy)
-        full = sweep_rows(0, raster.height, *args)
+        args = (raster.y_centers(), xs_scaled, ysorted, cx, 9.0, kernel)
+        full = BUCKET_ROWS.sweep_block(0, raster.height, *args)
         for num_blocks in (2, 3, 17):
             parts = [
-                sweep_rows(start, stop, *args)
+                BUCKET_ROWS.sweep_block(start, stop, *args)
                 for start, stop in partition_rows(raster.height, num_blocks)
             ]
             assert np.array_equal(np.concatenate(parts), full)
@@ -152,7 +155,7 @@ class TestParallelEquality:
         kwargs = dict(size=(16, 12), bandwidth=9.0, method="slam_bucket",
                       weights=weights)
         serial = compute_kdv(xy, **kwargs)
-        parallel = compute_kdv(xy, workers=2, backend="thread", **kwargs)
+        parallel = compute_kdv(xy, workers=2, backend="process", **kwargs)
         assert np.array_equal(serial.grid, parallel.grid)
 
     def test_workers_auto(self, xy):
@@ -166,10 +169,10 @@ class TestParallelEquality:
     def test_sweep_kdv_direct_parallel(self, xy):
         raster = Raster(Region(0, 0, 100, 80), 19, 13)
         kernel = get_kernel("quartic")
-        serial = sweep_kdv(xy, raster, kernel, 9.0, slam_bucket_row_numpy)
-        threaded = sweep_kdv(xy, raster, kernel, 9.0, slam_bucket_row_numpy,
-                             workers=2, backend="thread")
-        assert np.array_equal(serial, threaded)
+        serial = sweep_kdv(xy, raster, kernel, 9.0, BUCKET_ROWS)
+        pooled = sweep_kdv(xy, raster, kernel, 9.0, BUCKET_ROWS,
+                           workers=2, backend="process")
+        assert np.array_equal(serial, pooled)
 
     def test_bad_workers_via_api(self, xy):
         with pytest.raises(ValueError, match="workers"):
@@ -206,16 +209,16 @@ class TestStats:
 
     def test_parallel_block_count(self, xy):
         result = compute_kdv(xy, size=(16, 12), bandwidth=9.0,
-                             method="slam_bucket", workers=2, backend="thread")
+                             method="slam_bucket", workers=2, backend="process")
         s = result.stats
-        assert s.backend == "thread"
+        assert s.backend == "process"
         assert 1 < s.blocks <= 2 * BLOCKS_PER_WORKER
         assert s.blocks <= s.rows
 
     def test_non_rao_orientation_is_rows(self, xy):
         # even on a tall raster, the non-RAO methods sweep rows
         result = compute_kdv(xy, size=(12, 20), bandwidth=9.0,
-                             method="slam_sort", workers=2, backend="thread")
+                             method="slam_sort", workers=2)
         assert result.stats.orientation == "rows"
         assert result.stats.rows == 20
 

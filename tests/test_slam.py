@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Raster, Region
+from repro.core.engines import slam_bucket_grid, slam_sort_grid
 from repro.core.kernels import get_kernel
 from repro.core.rao import rao_orientation, with_rao
-from repro.core.slam_bucket import bucket_indices, slam_bucket_grid
-from repro.core.slam_sort import slam_sort_grid
+from repro.core.slam_bucket import bucket_indices
 
 from .conftest import reference_grid
 

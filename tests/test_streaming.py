@@ -223,18 +223,24 @@ class TestAPI:
 
         Compared against rebuilding the same engine from its full history
         (the same raster and method), with a loose factor for timer noise.
+        Each side is the best of three runs (three fresh 100-point batches,
+        three rebuilds), so one scheduler stall cannot decide the result.
         """
         import time
 
         engine = StreamingKDV(REGION, size=(160, 120), bandwidth=30.0)
         engine.insert(rng.uniform((0, 0), (1000, 800), (200_000, 2)))
-        tick = rng.uniform((0, 0), (1000, 800), (100, 2))
-        start = time.perf_counter()
-        engine.insert(tick)
-        tick_time = time.perf_counter() - start
-        start = time.perf_counter()
-        engine.rebuild()
-        full_time = time.perf_counter() - start
+
+        def timed(fn, *args) -> float:
+            start = time.perf_counter()
+            fn(*args)
+            return time.perf_counter() - start
+
+        tick_time = min(
+            timed(engine.insert, rng.uniform((0, 0), (1000, 800), (100, 2)))
+            for _ in range(3)
+        )
+        full_time = min(timed(engine.rebuild) for _ in range(3))
         assert tick_time < full_time / 3
 
 

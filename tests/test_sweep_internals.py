@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from repro import Raster, Region
+from repro.core.engines import ENGINES
 from repro.core.envelope import YSortedIndex
 from repro.core.kernels import get_kernel
 from repro.core.slam_bucket import slam_bucket_row_numpy
-from repro.core.slam_sort import slam_sort_row_numpy
-from repro.core.sweep import make_grid_function, sweep_kdv
+from repro.core.sweep import RowSweep, make_grid_function, sweep_kdv
 
 from .conftest import reference_grid
+
+SORT_NUMPY = ENGINES["slam_sort.numpy"]
+#: The per-row Algorithm 2 oracle the block engines are pinned to.
+BUCKET_ROWS = RowSweep("slam_bucket_row_numpy", slam_bucket_row_numpy)
 
 
 @pytest.fixture
@@ -24,12 +28,12 @@ class TestSweepKDV:
     def test_validation(self, small_xy, raster):
         kernel = get_kernel("epanechnikov")
         with pytest.raises(ValueError, match="bandwidth"):
-            sweep_kdv(small_xy, raster, kernel, -1.0, slam_sort_row_numpy)
+            sweep_kdv(small_xy, raster, kernel, -1.0, SORT_NUMPY)
         with pytest.raises(ValueError, match="aggregate decomposition"):
-            sweep_kdv(small_xy, raster, get_kernel("gaussian"), 5.0, slam_sort_row_numpy)
+            sweep_kdv(small_xy, raster, get_kernel("gaussian"), 5.0, SORT_NUMPY)
         with pytest.raises(ValueError, match="weights must have shape"):
             sweep_kdv(
-                small_xy, raster, kernel, 5.0, slam_sort_row_numpy,
+                small_xy, raster, kernel, 5.0, SORT_NUMPY,
                 weights=np.ones(3),
             )
 
@@ -39,19 +43,19 @@ class TestSweepKDV:
         kernel = get_kernel("epanechnikov")
         index = YSortedIndex(small_xy)
         with_index = sweep_kdv(
-            small_xy, raster, kernel, 9.0, slam_bucket_row_numpy, ysorted=index
+            small_xy, raster, kernel, 9.0, BUCKET_ROWS, ysorted=index
         )
-        without = sweep_kdv(small_xy, raster, kernel, 9.0, slam_bucket_row_numpy)
+        without = sweep_kdv(small_xy, raster, kernel, 9.0, BUCKET_ROWS)
         np.testing.assert_allclose(with_index, without, rtol=1e-12)
 
     def test_row_engines_interchangeable(self, small_xy, raster):
         kernel = get_kernel("quartic")
-        a = sweep_kdv(small_xy, raster, kernel, 9.0, slam_sort_row_numpy)
-        b = sweep_kdv(small_xy, raster, kernel, 9.0, slam_bucket_row_numpy)
+        a = sweep_kdv(small_xy, raster, kernel, 9.0, SORT_NUMPY)
+        b = sweep_kdv(small_xy, raster, kernel, 9.0, BUCKET_ROWS)
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
     def test_make_grid_function_binds_engine(self, small_xy, raster):
-        fn = make_grid_function(slam_sort_row_numpy)
+        fn = make_grid_function(SORT_NUMPY)
         kernel = get_kernel("epanechnikov")
         got = fn(small_xy, raster, kernel, 9.0)
         expected = reference_grid(small_xy, raster, "epanechnikov", 9.0)
@@ -62,7 +66,7 @@ class TestSweepKDV:
         result."""
         xy = np.array([[50.0, 1.0]])  # only the bottom rows are touched
         kernel = get_kernel("epanechnikov")
-        grid = sweep_kdv(xy, raster, kernel, 3.0, slam_bucket_row_numpy)
+        grid = sweep_kdv(xy, raster, kernel, 3.0, BUCKET_ROWS)
         assert grid.shape == raster.shape
         assert np.all(grid[-1] == 0.0)
         assert grid[0].max() > 0.0
@@ -76,7 +80,7 @@ class TestSweepKDV:
         region = Region(base[0], base[1], base[0] + 1000, base[1] + 1000)
         raster = Raster(region, 15, 11)
         kernel = get_kernel("quartic")
-        got = sweep_kdv(xy, raster, kernel, 120.0, slam_bucket_row_numpy)
+        got = sweep_kdv(xy, raster, kernel, 120.0, BUCKET_ROWS)
         expected = reference_grid(xy, raster, "quartic", 120.0)
         scale = max(expected.max(), 1.0)
         np.testing.assert_allclose(got / scale, expected / scale, atol=1e-9)
@@ -86,9 +90,8 @@ class TestEngineParity:
     """The python/numpy engine tables expose matching keys everywhere."""
 
     def test_slam_tables(self):
+        from repro.core.engines import slam_bucket_grid, slam_sort_grid
         from repro.core.native import NATIVE_AVAILABLE
-        from repro.core.slam_bucket import slam_bucket_grid
-        from repro.core.slam_sort import slam_sort_grid
 
         # The block engines bucket, so only the slam_bucket table lists
         # them; ``numpy_batch`` is an alias of its ``numpy`` engine.
