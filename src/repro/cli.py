@@ -664,21 +664,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: --max-error requires --quality-policy degrade",
               file=sys.stderr)
         return 2
-    render_fn = None
+    executor = None
     if args.render_delay is not None:
         if args.dist_workers:
             print("error: --render-delay and --dist-workers are mutually "
                   "exclusive", file=sys.stderr)
             return 2
-        import time as _time
-
-        from .viz.tiles import render_tile as _render_tile
+        from concurrent.futures import ThreadPoolExecutor
 
         delay_s = float(args.render_delay)
 
-        def render_fn(points, scheme, *tile, **kwargs):
-            _time.sleep(delay_s)
-            return _render_tile(points, scheme, *tile, **kwargs)
+        class DelayedPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *fn_args):
+                def delayed():
+                    time.sleep(delay_s)
+                    return fn(*fn_args)
+
+                return super().submit(delayed)
+
+        # sized like the default pool; a bad --workers is the service's to
+        # reject, with its own message
+        executor = DelayedPool(max(args.workers, 1), "kdv-render")
 
     coordinator = None
     if args.dist_workers:
@@ -704,10 +710,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             window_s=args.window,
             tick_s=args.tick_s,
             quality=quality,
-            render_fn=render_fn,
+            executor=executor,
             coordinator=coordinator,
         )
     except ValueError as exc:
+        if coordinator is not None:
+            coordinator.close()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     server = start_server(

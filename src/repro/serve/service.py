@@ -12,7 +12,9 @@ composes five mechanisms, each individually simple:
     of *distinct* visible tiles, not the request rate.
 
 **Bounded render pool with backpressure.**
-    Renders run on a fixed :class:`~concurrent.futures.ThreadPoolExecutor`.
+    Renders run on one pool, a fixed
+    :class:`~concurrent.futures.ThreadPoolExecutor` unless the caller
+    injects another ``executor``.
     When the number of in-flight renders reaches ``queue_limit`` the service
     refuses new *distinct* tiles with :class:`ServiceOverloaded` (HTTP 503 +
     ``Retry-After``) instead of queueing unboundedly — joining an existing
@@ -129,12 +131,11 @@ class PendingTile:
     """A tile answer that is still rendering on the pool.
 
     Returned by :meth:`TileService.request_tile` with ``wait=False`` instead
-    of blocking on the render future — the seam the :mod:`repro.simload`
-    discrete-event simulator drives the service through: the caller owns the
-    wait, so a simulator can decide *in virtual time* when the render
-    completes before collecting the response.  ``key`` is the render's
-    cache/in-flight key (view-namespaced); joiners of one in-flight render
-    share one underlying future.
+    of blocking on the render future, so the caller owns the wait: the
+    :mod:`repro.simload` simulator finds the render's job in its virtual
+    pool by ``future`` and resolves the answer once that job has run.
+    ``key`` is the render's cache/in-flight key (view-namespaced); joiners
+    of one in-flight render share one underlying future.
     """
 
     __slots__ = ("key", "future", "_service", "_view", "_tier")
@@ -183,7 +184,8 @@ class TileService:
         Deepest zoom level served (``zoom > max_zoom`` raises ``ValueError``,
         the HTTP layer's 404).
     workers:
-        Render pool size.
+        Size of the default render pool, and the base of the default
+        ``queue_limit``.
     queue_limit:
         Maximum in-flight renders (running + queued) before new distinct
         tiles are refused with :class:`ServiceOverloaded`.  Defaults to
@@ -226,17 +228,13 @@ class TileService:
         The tick *schedule* runs on this clock; window *cutoffs* use event
         time (the ingested-timestamp watermark), so replayed feeds age
         correctly regardless of wall time.
-    render_fn:
-        Render override with the signature of
-        :func:`~repro.viz.tiles.render_tile` (tests inject slow/controlled
-        renders; production uses the default).
-    submit_hook:
-        Optional observer called (under the service lock) as
-        ``submit_hook(key, future)`` every time a render is handed to the
-        pool — cold-tile leaders and background refinements alike.  The
-        :mod:`repro.simload` simulator uses it to mirror the pool in
-        virtual time; it must be fast and must not call back into the
-        service.
+    executor:
+        The render pool for cold-tile leaders and background refinements:
+        any object with ``submit(fn, *args) -> Future`` and
+        ``shutdown(wait, cancel_futures)``.  ``submit`` is called under the
+        service lock, so it must only queue the job.  ``None`` builds a
+        ``workers``-thread :class:`~concurrent.futures.ThreadPoolExecutor`;
+        :meth:`close` shuts the pool down either way.
     coordinator:
         Optional :class:`repro.dist.Coordinator`: cold-tile renders then run
         with ``backend="dist"``, fanning each render's row shards out to the
@@ -244,7 +242,7 @@ class TileService:
         workers are reachable).  The coordinator is caller-owned — the
         service does not close it — and its distributed counters are folded
         into the :meth:`stats` dump so ``/metricz`` reports the distributed
-        path.  Requires a SLAM ``method`` and no ``render_fn`` override.
+        path.  Requires a SLAM ``method``.
     """
 
     def __init__(
@@ -269,8 +267,7 @@ class TileService:
         quality: "QualityPolicy | None" = None,
         recorder: "Recorder | None" = None,
         clock: Callable[[], float] = monotonic,
-        render_fn=None,
-        submit_hook=None,
+        executor=None,
         coordinator=None,
     ):
         from ..data.points import PointSet
@@ -316,19 +313,11 @@ class TileService:
         self.recorder: Recorder = recorder if recorder is not None else Recorder()
         self._clock = clock
         self.coordinator = coordinator
-        if coordinator is not None:
-            if render_fn is not None:
-                raise ValueError(
-                    "coordinator and render_fn are mutually exclusive"
-                )
-            if method not in PARALLEL_METHODS:
-                raise ValueError(
-                    f"coordinator requires a SLAM method "
-                    f"{PARALLEL_METHODS}, got {method!r}"
-                )
-            render_fn = self._render_distributed
-        self._render_fn = render_fn if render_fn is not None else render_tile
-        self._submit_hook = submit_hook
+        if coordinator is not None and method not in PARALLEL_METHODS:
+            raise ValueError(
+                f"coordinator requires a SLAM method "
+                f"{PARALLEL_METHODS}, got {method!r}"
+            )
 
         # Served views, keyed by window length (None = the all-time view).
         # Each view owns a streaming engine (incrementally-maintained overview
@@ -357,7 +346,7 @@ class TileService:
         self._degraded_active = 0
         self._refine: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._closed = False
-        self._pool = ThreadPoolExecutor(
+        self._pool = executor if executor is not None else ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="kdv-render"
         )
         self._started = clock()
@@ -513,8 +502,6 @@ class TileService:
                         )
                         self._inflight[exact_key] = future
                         rec.set_gauge("serve.queue_depth", len(self._inflight))
-                        if self._submit_hook is not None:
-                            self._submit_hook(exact_key, future)
                         chosen = tier
                         break
                     continue
@@ -846,8 +833,6 @@ class TileService:
                 )
                 self._inflight[exact_key] = future
                 rec.set_gauge("serve.queue_depth", len(self._inflight))
-                if self._submit_hook is not None:
-                    self._submit_hook(exact_key, future)
 
     def _refine_into_cache(
         self, key: tuple, tile: tuple, view: WindowView, version: int,
@@ -879,18 +864,11 @@ class TileService:
     ) -> np.ndarray:
         rec = self.recorder
         try:
-            extra = {}
             ysorted = self._ysorted_for(view, version)
-            if ysorted is not None:
-                extra["ysorted"] = ysorted
-            if getattr(self._render_fn, "wants_cache_key", False):
-                # opt-in seam for instrumented render functions (the simload
-                # gated renderer): the cache key uniquely names this render,
-                # which tile coordinates alone cannot (windowed views reuse
-                # them)
-                extra["cache_key"] = key
             with rec.span("tiles.render"):
-                grid = self._render_fn(
+                # the module global, read per call, so a wrapper installed
+                # after construction (span tracing) sees every render
+                grid = render_tile(
                     points,
                     self.scheme,
                     *tile,
@@ -898,7 +876,10 @@ class TileService:
                     bandwidth=self.bandwidth,
                     kernel=self.kernel,
                     method=self.method,
-                    **extra,
+                    ysorted=ysorted,
+                    # a coordinator fans the sweep out to its worker pool
+                    backend=None if self.coordinator is None else "dist",
+                    coordinator=self.coordinator,
                 )
             grid = np.asarray(grid)
             grid.setflags(write=False)  # shared across waiters and the cache
@@ -920,20 +901,6 @@ class TileService:
             # a completed render may have drained the pool: spend the idle
             # capacity refining degraded serves to exact
             self._maybe_refine()
-
-    def _render_distributed(self, points, scheme, zoom, tx, ty, **kwargs):
-        """:func:`render_tile` with the sweep fanned out to the coordinator's
-        worker pool (installed as ``_render_fn`` when a coordinator is set)."""
-        return render_tile(
-            points,
-            scheme,
-            zoom,
-            tx,
-            ty,
-            backend="dist",
-            coordinator=self.coordinator,
-            **kwargs,
-        )
 
     def _ysorted_for(self, view: WindowView, version: int):
         """The view's current-generation shared y-sorted index, built at most

@@ -13,9 +13,9 @@ Layout mirrors the pipeline: :mod:`~repro.simload.events` (virtual clock +
 event loop) → :mod:`~repro.simload.arrivals` (when requests come) →
 :mod:`~repro.simload.sessions` (which tiles they want) →
 :mod:`~repro.simload.scenarios` (declarative workload specs) →
-:mod:`~repro.simload.runner` (the gated-render simulation itself) →
-:mod:`~repro.simload.metrics` (trace digests, latency/shed rollups, and
-the capacity knee).  ``repro simload`` on the command line and
+:mod:`~repro.simload.runner` (the simulation itself, on a virtual render
+pool) → :mod:`~repro.simload.metrics` (trace digests, latency/shed
+rollups, and the capacity knee).  ``repro simload`` on the command line and
 ``benchmarks/bench_simload.py`` drive it; ``docs/simload.md`` explains the
 determinism contract and sweep methodology.
 """

@@ -27,7 +27,8 @@ class SimClock:
     """A settable virtual clock, callable like ``time.monotonic``.
 
     The event loop is the only writer; readers (the tile service, its cache,
-    pool threads storing entries) see a monotonically non-decreasing float.
+    the renders the virtual pool runs) see a monotonically non-decreasing
+    float.
     """
 
     __slots__ = ("_now",)

@@ -4,26 +4,23 @@ The hard problem this module solves is *deterministic saturation*.  The
 service's interesting behaviour — coalescing, backpressure, the quality
 ladder, 503s — only appears when its render pool is genuinely occupied,
 but real thread timing is not reproducible.  The runner squares the circle
-with three mechanisms:
+with two mechanisms:
 
-* **Gated renders.**  The injected ``render_fn`` computes the real grid
-  immediately, then blocks on a per-cache-key gate until the simulator
-  releases it at the render's *virtual* completion time.  The service's
-  real ``_inflight`` table therefore stays occupied across virtual time,
-  and its own admission/degradation/rejection logic runs unmodified.
-* **A mirrored virtual pool.**  ``submit_hook`` hands the simulator every
-  pool submission (leaders and background refinements) in order; the
-  simulator replays them through a virtual executor with the same worker
-  count and FIFO discipline, assigning start/completion times from the
-  scenario's :class:`~repro.simload.scenarios.CostModel`.  Because both
-  pools are FIFO with ``k`` slots, every virtually-running render has
-  really started, so releasing its gate can never deadlock.
-* **Single-threaded control.**  The simulator thread owns all service
-  calls (``request_tile(wait=False)`` never blocks; waiting happens via
-  :class:`~repro.serve.PendingTile` at release points), all ingest and
-  ticks, and the virtual clock the service reads.  Pool threads only
-  compute grids and block on gates — they never mutate shared state until
-  released, at a deterministic virtual instant.
+* **A virtual render pool.**  The service's ``executor`` is a
+  :class:`_VirtualPool`.  Its ``submit`` only queues each render (leaders
+  and background refinements alike) FIFO behind the scenario's
+  ``workers`` slots; a render that takes a slot completes the
+  :class:`~repro.simload.scenarios.CostModel`'s ``render_s`` virtual
+  seconds later.  At that instant the pool runs the render, resolves its
+  future, answers the requests waiting on it and starts the next queued
+  render.  Until then the service's real ``_inflight`` table holds the
+  render, so its own admission/degradation/rejection logic runs
+  unmodified.
+* **One thread.**  The simulator thread makes every service call
+  (``request_tile(wait=False)`` never blocks; a request that must wait
+  holds a :class:`~repro.serve.PendingTile` until its render completes),
+  runs all ingest, ticks and renders, and owns the virtual clock the
+  service reads.  A run starts no other thread.
 
 Latency is *virtual* throughout: queueing delay in the virtual pool plus
 the cost model's constants.  Nothing in a run reads the wall clock, so a
@@ -32,9 +29,10 @@ the cost model's constants.  Nothing in a run reads the wall clock, so a
 
 from __future__ import annotations
 
-import threading
 from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +43,7 @@ from ..serve import (
     ServiceOverloaded,
     TileService,
 )
-from ..viz.tiles import TileScheme, render_tile
+from ..viz.tiles import TileScheme
 from .arrivals import arrival_times, rate_at
 from .events import EventLoop, SimClock
 from .metrics import (
@@ -64,70 +62,69 @@ from .sessions import SessionWalk
 
 __all__ = ["SimResult", "SimulationRunner", "run_scenario", "sweep"]
 
-#: real-seconds guard on joins so a simulator bug fails fast, never hangs CI
-_JOIN_TIMEOUT_S = 120.0
-
-
-class _GateRegistry:
-    """Per-cache-key gates between pool render threads and the simulator.
-
-    Either side may create a key's gate first (``submit`` returns before the
-    hook's bookkeeping is visible to the pool thread), so both go through
-    get-or-create under one lock.  Single-flight rendering guarantees at
-    most one live render per key, which makes the key an unambiguous
-    address; entries are discarded only after the render's future is
-    joined, so the waiting thread has always passed the gate by then.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._events: "dict[tuple, threading.Event]" = {}
-
-    def _get(self, key: tuple) -> threading.Event:
-        with self._lock:
-            evt = self._events.get(key)
-            if evt is None:
-                evt = self._events[key] = threading.Event()
-            return evt
-
-    def wait(self, key: tuple) -> None:
-        if not self._get(key).wait(timeout=_JOIN_TIMEOUT_S):
-            raise RuntimeError(f"render gate for {key} never released")
-
-    def release(self, key: tuple) -> None:
-        self._get(key).set()
-
-    def discard(self, key: tuple) -> None:
-        with self._lock:
-            self._events.pop(key, None)
-
-
-def _gated_render_fn(registry: _GateRegistry):
-    """A ``render_fn`` that computes the true grid, then parks its pool
-    thread on the key's gate until the simulator reaches the render's
-    virtual completion time."""
-
-    def render(points, scheme, zoom, tx, ty, *, cache_key, **kwargs):
-        grid = render_tile(points, scheme, zoom, tx, ty, **kwargs)
-        registry.wait(cache_key)
-        return grid
-
-    render.wants_cache_key = True  # opt into the service's cache_key seam
-    return render
-
 
 @dataclass
 class _RenderJob:
-    """One pool submission mirrored into the virtual executor."""
+    """One render submitted to the virtual pool."""
 
-    key: tuple
-    future: object
-    submit_vt: float
-    start_vt: "float | None" = None
-    done_vt: "float | None" = None
+    fn: Callable
+    args: tuple
+    future: Future = field(default_factory=Future)
     waiters: "list[tuple[RequestRecord, PendingTile]]" = field(
         default_factory=list
     )
+
+
+class _VirtualPool:
+    """The service's render pool, run in virtual time on the simulator
+    thread.
+
+    ``submit`` is called while the service holds its lock, so it only
+    queues and schedules: running the render inline would deadlock.  Jobs
+    take one of ``workers`` slots in FIFO order and complete ``render_s``
+    virtual seconds later, when :meth:`_finish` runs them.
+    """
+
+    def __init__(self, loop: EventLoop, workers: int, render_s: float, answer):
+        self._loop = loop
+        self._render_s = render_s
+        self._answer = answer
+        self._slots_free = workers
+        self._queue: "deque[_RenderJob]" = deque()
+        #: unfinished jobs by future, so a PendingTile finds its job
+        self.jobs: "dict[Future, _RenderJob]" = {}
+
+    def submit(self, fn, *args) -> Future:
+        job = _RenderJob(fn, args)
+        self.jobs[job.future] = job
+        if self._slots_free > 0:
+            self._start(job)
+        else:
+            self._queue.append(job)
+        return job.future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        """Nothing to stop: no job ever ran on a thread of its own."""
+
+    def _start(self, job: _RenderJob) -> None:
+        self._slots_free -= 1
+        done_vt = self._loop.clock.now + self._render_s
+        self._loop.schedule(done_vt, lambda: self._finish(job))
+
+    def _finish(self, job: _RenderJob) -> None:
+        """A render's virtual completion: run it (refinements it submits
+        queue behind the jobs already waiting), resolve its future, answer
+        every waiter, then feed the freed slot."""
+        del self.jobs[job.future]
+        try:
+            job.future.set_result(job.fn(*job.args))
+        except Exception as exc:  # pragma: no cover - requires a render bug
+            job.future.set_exception(exc)
+        for record, pending in job.waiters:
+            self._answer(record, pending)
+        self._slots_free += 1
+        while self._slots_free > 0 and self._queue:
+            self._start(self._queue.popleft())
 
 
 @dataclass
@@ -192,12 +189,9 @@ class SimulationRunner:
         self.clock = SimClock()
         self.loop = EventLoop(self.clock)
         self.records: "list[RequestRecord]" = []
-        self._registry = _GateRegistry()
-        self._submissions: "deque[tuple[tuple, object]]" = deque()
-        self._submissions_lock = threading.Lock()
-        self._jobs: "dict[tuple, _RenderJob]" = {}
-        self._vqueue: "deque[_RenderJob]" = deque()
-        self._slots_free = scenario.workers
+        self._pool = _VirtualPool(
+            self.loop, scenario.workers, scenario.cost.render_s, self._answer
+        )
         self._offered = 0
 
         (
@@ -236,74 +230,23 @@ class SimulationRunner:
             tick_s=None,  # ticks are explicit simulator events
             quality=quality,
             clock=self.clock,
-            render_fn=_gated_render_fn(self._registry),
-            submit_hook=self._on_submit,
+            executor=self._pool,
         )
 
-    # -- virtual pool -------------------------------------------------------
-
-    def _on_submit(self, key: tuple, future) -> None:
-        """The service's ``submit_hook`` (called under its lock).  Only
-        records the submission; the simulator thread mirrors it into the
-        virtual pool at the next drain point."""
-        with self._submissions_lock:
-            self._submissions.append((key, future))
-
-    def _drain_submissions(self) -> None:
-        """Mirror freshly hooked submissions into the virtual executor.
-
-        Called on the simulator thread right after any service call that
-        can submit (a request, a resolved render's refinements), so virtual
-        queue order equals real submission order.
-        """
-        while True:
-            with self._submissions_lock:
-                if not self._submissions:
-                    return
-                key, future = self._submissions.popleft()
-            job = _RenderJob(key=key, future=future, submit_vt=self.clock.now)
-            self._jobs[key] = job
-            if self._slots_free > 0:
-                self._start_job(job)
-            else:
-                self._vqueue.append(job)
-
-    def _start_job(self, job: _RenderJob) -> None:
-        self._slots_free -= 1
-        job.start_vt = self.clock.now
-        job.done_vt = job.start_vt + self.scenario.cost.render_s
-        self.loop.schedule(job.done_vt, lambda j=job: self._on_render_done(j))
-
-    def _on_render_done(self, job: _RenderJob) -> None:
-        """A render's virtual completion: release its gate, join the real
-        future, resolve every waiter, then feed the freed slot."""
-        self._registry.release(job.key)
-        error = None
+    def _answer(self, record: RequestRecord, pending: PendingTile) -> None:
+        """Resolve one request whose render completes now."""
+        record.latency_s = self.clock.now - record.t
         try:
-            job.future.result(timeout=_JOIN_TIMEOUT_S)
-        except Exception as exc:  # pragma: no cover - requires a render bug
-            error = exc
-        self._registry.discard(job.key)
-        self._jobs.pop(job.key, None)
-        # refinements submitted during this render's completion hooks are
-        # visible now (they run before the future resolves)
-        self._drain_submissions()
-        for record, pending in job.waiters:
-            if error is not None:  # pragma: no cover
-                record.outcome, record.tier = ERROR, None
-                record.latency_s = job.done_vt - record.t
-                continue
-            response = pending.resolve(timeout=_JOIN_TIMEOUT_S)
-            record.latency_s = job.done_vt - record.t
-            deadline = self.scenario.deadline_s
-            if deadline is not None and record.latency_s > deadline:
-                record.outcome, record.tier = DEADLINE, None
-                self.service.recorder.count("serve.rejected.deadline")
-            else:
-                record.outcome, record.tier = OK, response.tier
-        self._slots_free += 1
-        while self._slots_free > 0 and self._vqueue:
-            self._start_job(self._vqueue.popleft())
+            response = pending.resolve()
+        except Exception:  # pragma: no cover - requires a render bug
+            record.outcome, record.tier = ERROR, None
+            return
+        deadline = self.scenario.deadline_s
+        if deadline is not None and record.latency_s > deadline:
+            record.outcome, record.tier = DEADLINE, None
+            self.service.recorder.count("serve.rejected.deadline")
+        else:
+            record.outcome, record.tier = OK, response.tier
 
     # -- workload events ----------------------------------------------------
 
@@ -344,16 +287,8 @@ class SimulationRunner:
             record.outcome = ERROR
             record.latency_s = sc.cost.hit_s
         else:
-            # mirror any leader/refinement submission this request caused
-            # before looking its job up
-            self._drain_submissions()
             if isinstance(answer, PendingTile):
-                job = self._jobs.get(answer.key)
-                if job is None:  # pragma: no cover - mirror invariant broken
-                    raise RuntimeError(
-                        f"no virtual job for in-flight render {answer.key}"
-                    )
-                job.waiters.append((record, answer))
+                self._pool.jobs[answer.future].waiters.append((record, answer))
             else:
                 record.outcome = OK
                 record.tier = answer.tier
@@ -362,7 +297,6 @@ class SimulationRunner:
                     if answer.tier == "exact"
                     else sc.cost.degraded_s
                 )
-        self._drain_submissions()
 
     def _on_ingest(self) -> None:
         spec = self.scenario.ingest
@@ -377,11 +311,9 @@ class SimulationRunner:
         xy = np.clip(np.vstack([clustered, uniform]), 0.0, 1.0)
         t = np.full(n, self.clock.now)
         self.service.ingest(xy, t=t)
-        self._drain_submissions()
 
     def _on_tick(self) -> None:
         self.service.tick(now=self.clock.now)
-        self._drain_submissions()
 
     # -- run ----------------------------------------------------------------
 
@@ -403,16 +335,11 @@ class SimulationRunner:
                 t += sc.tick_s
 
         try:
-            # drain completely: late virtual renders schedule their own
-            # completion events, and refinement cascades can extend the heap
-            while len(self.loop) or self._submissions or self._vqueue:
-                self.loop.run()
-                self._drain_submissions()
+            # drain completely: renders schedule their own completion
+            # events, and refinement cascades can extend the heap
+            self.loop.run()
             stats = self.service.stats()
         finally:
-            # release any gate a buggy run left parked so close() can join
-            for key in list(self._jobs):
-                self._registry.release(key)  # pragma: no cover
             self.service.close(drain=True)
 
         end = max(sc.duration_s, self.clock.now)

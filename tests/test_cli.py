@@ -202,9 +202,44 @@ class TestServeCommand:
         assert code == 2
         assert "bandwidth" in capsys.readouterr().err
 
-    def test_bad_service_config_rejected(self, csv_path, capsys):
-        code = main(["serve", csv_path, "--workers", "0"])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param([], id="default-pool"),
+            pytest.param(["--render-delay", "1"], id="render-delay"),
+        ],
+    )
+    def test_bad_service_config_rejected(self, csv_path, capsys, extra):
+        code = main(["serve", csv_path, "--workers", "0", *extra])
         assert code == 2
+        assert "error: workers must be >= 1" in capsys.readouterr().err
+
+    def test_rejected_config_closes_coordinator(self, csv_path, monkeypatch):
+        """A service the arguments cannot build must not leak the
+        coordinator already connected to --dist-workers."""
+        from repro.dist import Coordinator
+        from repro.dist.worker import WorkerServer
+
+        alive_at_close = []
+        real_close = Coordinator.close
+
+        def spy(coord):
+            alive_at_close.append(coord.num_alive())
+            real_close(coord)
+
+        monkeypatch.setattr(Coordinator, "close", spy)
+        worker = WorkerServer(host="127.0.0.1", port=0)
+        thread = worker.start_in_thread()
+        try:
+            code = main([
+                "serve", csv_path, "--method", "scan",
+                "--dist-workers", f"127.0.0.1:{worker.port}",
+            ])
+        finally:
+            worker.stop()
+            thread.join(timeout=5.0)
+        assert code == 2  # a coordinator needs a SLAM method
+        assert alive_at_close == [1]
 
     def test_end_to_end_over_http(self, csv_path):
         """`repro serve` binds, serves tiles and metrics, and exits cleanly

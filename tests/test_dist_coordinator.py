@@ -221,13 +221,9 @@ class TestTileServiceCoordinator:
             dist.close()
             coord.close()
 
-    def test_coordinator_render_fn_mutually_exclusive(self, xy):
+    def test_coordinator_requires_slam_method(self, xy):
         coord = Coordinator()
         try:
-            with pytest.raises(ValueError, match="mutually exclusive"):
-                TileService(
-                    xy, coordinator=coord, render_fn=lambda *a, **k: None
-                )
             with pytest.raises(ValueError, match="SLAM method"):
                 TileService(xy, coordinator=coord, method="scan")
         finally:

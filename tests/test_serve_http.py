@@ -15,6 +15,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -43,6 +44,23 @@ def fetch(url, data=None, method=None, timeout=30.0):
 def make_points():
     rng = np.random.default_rng(31)
     return rng.uniform((0.0, 0.0), (1000.0, 1000.0), (200, 2))
+
+
+class SlowPool(ThreadPoolExecutor):
+    """A one-worker render pool whose jobs wait for ``release``."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def submit(self, fn, /, *args):
+        def slow():
+            self.started.set()
+            self.release.wait(timeout=30.0)
+            return fn(*args)
+
+        return super().submit(slow)
 
 
 def make_server(**service_kwargs):
@@ -294,45 +312,33 @@ class TestWindowAndTick:
 
 class TestBackpressureOverHTTP:
     def test_saturated_queue_is_503_with_retry_after(self):
-        release = threading.Event()
-        started = threading.Event()
-
-        def slow_render(points, scheme, zoom, tx, ty, **kwargs):
-            started.set()
-            release.wait(timeout=30.0)
-            return render_tile(points, scheme, zoom, tx, ty, **kwargs)
-
-        server = make_server(workers=1, queue_limit=1, render_fn=slow_render)
+        pool = SlowPool()
+        server = make_server(workers=1, queue_limit=1, executor=pool)
         try:
             leader = threading.Thread(
                 target=fetch, args=(server.url + "/tiles/1/0/0",)
             )
             leader.start()
-            assert started.wait(timeout=10.0)
+            assert pool.started.wait(timeout=10.0)
             status, headers, body = fetch(server.url + "/tiles/1/1/0")
             assert status == 503
             assert float(headers["Retry-After"]) > 0.0
             assert "error" in json.loads(body)
-            release.set()
+            pool.release.set()
             leader.join(timeout=30.0)
         finally:
-            release.set()
+            pool.release.set()
             server.shutdown_gracefully()
 
     def test_deadline_is_504(self):
-        release = threading.Event()
-
-        def slow_render(points, scheme, zoom, tx, ty, **kwargs):
-            release.wait(timeout=30.0)
-            return render_tile(points, scheme, zoom, tx, ty, **kwargs)
-
-        server = make_server(workers=1, deadline_s=0.05, render_fn=slow_render)
+        pool = SlowPool()
+        server = make_server(workers=1, deadline_s=0.05, executor=pool)
         try:
             status, _, body = fetch(server.url + "/tiles/1/0/0")
             assert status == 504
             assert "error" in json.loads(body)
         finally:
-            release.set()
+            pool.release.set()
             server.shutdown_gracefully()
 
 
@@ -404,16 +410,9 @@ class TestQualityOverHTTP:
     def test_saturated_pool_degrades_before_503(self):
         from repro.serve import QualityPolicy
 
-        release = threading.Event()
-        started = threading.Event()
-
-        def slow_render(points, scheme, zoom, tx, ty, **kwargs):
-            started.set()
-            release.wait(timeout=30.0)
-            return render_tile(points, scheme, zoom, tx, ty, **kwargs)
-
+        pool = SlowPool()
         server = make_server(
-            workers=1, queue_limit=1, render_fn=slow_render,
+            workers=1, queue_limit=1, executor=pool,
             quality=QualityPolicy(pyramid_levels=(1,), coreset_sizes=(64,)),
         )
         try:
@@ -421,14 +420,14 @@ class TestQualityOverHTTP:
                 target=fetch, args=(server.url + "/tiles/1/0/0",)
             )
             leader.start()
-            assert started.wait(timeout=10.0)
+            assert pool.started.wait(timeout=10.0)
             # where the policy-free server returned 503, the ladder serves
             # a degraded tile with honest headers instead
             status, headers, _ = fetch(server.url + "/tiles/1/1/0")
             assert status == 200
             assert headers["X-KDV-Quality"] == "pyramid:1"
             assert float(headers["X-KDV-Error-Bound"]) >= 0.0
-            release.set()
+            pool.release.set()
             leader.join(timeout=30.0)
             # once the pool drains, the same tile refines back to exact
             deadline = time.monotonic() + 10.0
@@ -441,7 +440,7 @@ class TestQualityOverHTTP:
                 time.sleep(0.05)
             assert tier == "exact"
         finally:
-            release.set()
+            pool.release.set()
             server.shutdown_gracefully()
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -70,21 +71,25 @@ def make_service(points, scheme, **kwargs):
     return TileService(points, scheme, **kwargs)
 
 
-class GatedRender:
-    """A render_fn that blocks until released; counts invocations."""
+class GatedPool(ThreadPoolExecutor):
+    """A render pool whose jobs block until released; counts invocations."""
 
-    def __init__(self):
+    def __init__(self, workers=1):
+        super().__init__(max_workers=workers)
         self.release = threading.Event()
         self.started = threading.Event()
         self.calls = 0
-        self._lock = threading.Lock()
+        self._calls_lock = threading.Lock()
 
-    def __call__(self, points, scheme, zoom, tx, ty, **kwargs):
-        with self._lock:
-            self.calls += 1
-        self.started.set()
-        assert self.release.wait(timeout=30.0), "render gate never released"
-        return render_tile(points, scheme, zoom, tx, ty, **kwargs)
+    def submit(self, fn, /, *args):
+        def gated():
+            with self._calls_lock:
+                self.calls += 1
+            self.started.set()
+            assert self.release.wait(timeout=30.0), "render gate never released"
+            return fn(*args)
+
+        return super().submit(gated)
 
 
 # -- zorder baseline hardening (epsilon_for / sample_size validation) -----
@@ -373,14 +378,14 @@ class TestQualityServing:
         """The load ladder, proven rung by rung: a saturated one-worker
         pool degrades exact -> pyramid -> coreset, and only past the
         cheapest rung rejects with 503/ServiceOverloaded."""
-        gate = GatedRender()
+        gate = GatedPool()
         rec = Recorder()
         policy = QualityPolicy(
             pyramid_levels=(1,), coreset_sizes=(64,), tier_headroom=1
         )
         service = make_service(
             points, scheme, workers=1, queue_limit=1,
-            render_fn=gate, recorder=rec, quality=policy,
+            executor=gate, recorder=rec, quality=policy,
         )
         # gate the degraded path too, so held degraded renders keep
         # contributing to the load the admission rule sees
@@ -446,11 +451,11 @@ class TestQualityServing:
         """Once the pool drains, a degraded serve is re-rendered exactly;
         the exact entry lands in the cache and the degraded one is
         dropped."""
-        gate = GatedRender()
+        gate = GatedPool()
         rec = Recorder()
         service = make_service(
             points, scheme, workers=1, queue_limit=1,
-            render_fn=gate, recorder=rec,
+            executor=gate, recorder=rec,
             quality=QualityPolicy(pyramid_levels=(1,), coreset_sizes=(64,)),
         )
         try:
@@ -490,9 +495,9 @@ class TestQualityServing:
     def test_ingest_invalidates_degraded_tiles_and_recalibrates(
         self, points, scheme
     ):
-        gate = GatedRender()
+        gate = GatedPool()
         service = make_service(
-            points, scheme, workers=1, queue_limit=1, render_fn=gate,
+            points, scheme, workers=1, queue_limit=1, executor=gate,
             quality=QualityPolicy(coreset_sizes=(64,)),
         )
         try:

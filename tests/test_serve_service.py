@@ -54,21 +54,25 @@ def make_service(points, scheme, **kwargs):
     return TileService(points, scheme, **kwargs)
 
 
-class GatedRender:
-    """A render_fn that blocks until released; counts invocations."""
+class GatedPool(ThreadPoolExecutor):
+    """A render pool whose jobs block until released; counts invocations."""
 
-    def __init__(self):
+    def __init__(self, workers=1):
+        super().__init__(max_workers=workers)
         self.release = threading.Event()
         self.started = threading.Event()
         self.calls = 0
-        self._lock = threading.Lock()
+        self._calls_lock = threading.Lock()
 
-    def __call__(self, points, scheme, zoom, tx, ty, **kwargs):
-        with self._lock:
-            self.calls += 1
-        self.started.set()
-        assert self.release.wait(timeout=30.0), "render gate never released"
-        return render_tile(points, scheme, zoom, tx, ty, **kwargs)
+    def submit(self, fn, /, *args):
+        def gated():
+            with self._calls_lock:
+                self.calls += 1
+            self.started.set()
+            assert self.release.wait(timeout=30.0), "render gate never released"
+            return fn(*args)
+
+        return super().submit(gated)
 
 
 class TestTTLCache:
@@ -168,8 +172,8 @@ class TestCoalescing:
         """≥16 concurrent requests for one cold tile → exactly one render,
         all responses bit-identical to a direct render_tile."""
         n_clients = 16
-        gate = GatedRender()
-        service = make_service(points, scheme, workers=2, render_fn=gate)
+        gate = GatedPool(workers=2)
+        service = make_service(points, scheme, workers=2, executor=gate)
         barrier = threading.Barrier(n_clients)
         results = [None] * n_clients
         errors = []
@@ -224,9 +228,9 @@ class TestCoalescing:
 
 class TestBackpressure:
     def test_queue_full_rejects_distinct_tile(self, points, scheme):
-        gate = GatedRender()
+        gate = GatedPool()
         service = make_service(
-            points, scheme, workers=1, queue_limit=1, render_fn=gate
+            points, scheme, workers=1, queue_limit=1, executor=gate
         )
         leader_done = threading.Thread(target=service.get_tile, args=(1, 0, 0))
         leader_done.start()
@@ -244,9 +248,9 @@ class TestBackpressure:
     def test_joining_is_allowed_when_saturated(self, points, scheme):
         """A request for the tile already in flight adds no work and must
         coalesce rather than 503."""
-        gate = GatedRender()
+        gate = GatedPool()
         service = make_service(
-            points, scheme, workers=1, queue_limit=1, render_fn=gate
+            points, scheme, workers=1, queue_limit=1, executor=gate
         )
         holder = {}
         leader = threading.Thread(
@@ -270,8 +274,8 @@ class TestBackpressure:
         service.close()
 
     def test_deadline_turns_into_timeout(self, points, scheme):
-        gate = GatedRender()
-        service = make_service(points, scheme, workers=1, render_fn=gate)
+        gate = GatedPool()
+        service = make_service(points, scheme, workers=1, executor=gate)
         with pytest.raises(ServiceTimeout):
             service.get_tile(1, 0, 0, deadline_s=0.05)
         assert service.recorder.counter_value("serve.rejected.deadline") == 1
@@ -284,9 +288,9 @@ class TestBackpressure:
         service.close()
 
     def test_service_deadline_default(self, points, scheme):
-        gate = GatedRender()
+        gate = GatedPool()
         service = make_service(
-            points, scheme, workers=1, deadline_s=0.05, render_fn=gate
+            points, scheme, workers=1, deadline_s=0.05, executor=gate
         )
         with pytest.raises(ServiceTimeout):
             service.get_tile(1, 0, 0)
@@ -348,8 +352,8 @@ class TestCacheSemantics:
         service.close()
 
     def test_ingest_mid_render_keeps_stale_grid_out_of_cache(self, points, scheme):
-        gate = GatedRender()
-        service = make_service(points, scheme, workers=1, render_fn=gate)
+        gate = GatedPool()
+        service = make_service(points, scheme, workers=1, executor=gate)
         holder = {}
         waiter = threading.Thread(
             target=lambda: holder.setdefault("grid", service.get_tile(1, 0, 0))
@@ -424,8 +428,8 @@ class TestLifecycle:
         assert service.closed
 
     def test_drain_answers_inflight_waiters(self, points, scheme):
-        gate = GatedRender()
-        service = make_service(points, scheme, workers=1, render_fn=gate)
+        gate = GatedPool()
+        service = make_service(points, scheme, workers=1, executor=gate)
         holder = {}
         waiter = threading.Thread(
             target=lambda: holder.setdefault("grid", service.get_tile(1, 0, 0))

@@ -4,16 +4,17 @@ These tests never sleep.  TTL expiry, window aging, pool saturation, and
 quality degradation all happen in *virtual* seconds — either through a
 :class:`~repro.simload.SimClock` injected straight into a
 :class:`~repro.serve.TileService`, or through full
-:class:`~repro.simload.SimulationRunner` runs whose gated renders keep the
-real pool genuinely occupied across virtual time.
+:class:`~repro.simload.SimulationRunner` runs whose virtual render pool
+keeps the service's renders in flight across virtual time, on one thread.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import pytest
 
 from repro.data.points import PointSet
 from repro.serve import PendingTile, TileService
@@ -58,14 +59,20 @@ class TestVirtualClockDirect:
 
     def test_wait_false_returns_pending_tile_and_hooks_submission(self):
         clock = SimClock()
-        submissions = []
-        service = _service(
-            clock, submit_hook=lambda key, fut: submissions.append((key, fut))
-        )
+        submitted = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args):
+                future = super().submit(fn, *args)
+                submitted.append(future)
+                return future
+
+        service = _service(clock, executor=RecordingPool(max_workers=1))
         try:
             answer = service.request_tile(1, 0, 1, wait=False)
             assert isinstance(answer, PendingTile)
-            assert submissions and submissions[0][0] == answer.key
+            # the pending answer carries the injected pool's own future
+            assert submitted == [answer.future]
             response = answer.resolve(timeout=30.0)
             assert response.tier == "exact"
             assert answer.done()
@@ -147,6 +154,24 @@ class TestSimulatedServing:
         assert all(r.latency_s <= deadline for r in waited)
         hits = [r for r in ok if r.latency_s == sc.cost.hit_s]
         assert hits, "warm tiles must answer at the cache-hit cost"
+
+    def test_simulated_runs_start_no_thread(self, monkeypatch):
+        """Renders run on the simulator thread at their virtual completion
+        times: a saturated run and a flash crowd with background
+        refinements start no render thread (or any other)."""
+        started = []
+        real_start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            return real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        saturated = run_scenario(_short("default").at_rate(160.0), seed=3)
+        flash = run_scenario(_short("flashcrowd"), seed=7)
+        assert saturated.metrics["shed_503"] > 0
+        assert flash.metrics["refined"] > 0
+        assert started == []
 
     def test_degraded_cache_reuse_counts_served_tiers(self):
         result = run_scenario(_short("flashcrowd").at_rate(60.0), seed=2)
