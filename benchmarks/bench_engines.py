@@ -3,17 +3,18 @@
 Measures the ``slam_bucket`` engines over a grid of resolutions and
 dataset sizes on the clustered benchmark workload, serial, with the y-sorted
 index prebuilt outside the timed region — so each cell times exactly the
-sweep the engine owns.  ``numpy`` is the default block-vectorized engine
+sweep the engine owns.  ``numpy`` is the block-vectorized engine
 (``numpy_batch`` is its alias, so it is not timed twice); ``numpy_rows`` is
 the per-row vectorized Algorithm 2 (``slam_bucket_row_numpy``, the test
-oracle the default is pinned to) driven by the per-row sweep loop.  Every
+oracle ``numpy`` is pinned to) driven by the per-row sweep loop.  Every
 cell reports min-of-repeats wall clock and rows/sec; the speedup column
 relative to ``numpy_rows`` quantifies what the block-vectorized engine
 buys.
 
-On compiled checkouts the fused-C ``native`` engine joins the grid
-(serial, plus an OpenMP ``native@<T>T`` cell when the machine has more
-than one CPU — see ``docs/native.md``); fallback checkouts simply skip it.
+Where the extension loaded (it compiles on first import), the fused-C
+``native`` engine joins the grid (serial, plus an OpenMP ``native@<T>T``
+cell when the machine has more than one CPU — see ``docs/native.md``);
+hosts without it simply skip it.
 
 The headline cell is ``numpy`` vs ``numpy_rows`` at 1280x960, n = 100k,
 Epanechnikov, bandwidth 15 (a sharp-hotspot bandwidth, ~4 px — the

@@ -173,19 +173,20 @@ def build_parser() -> argparse.ArgumentParser:
                                 "scott (default), silverman, lcv")
     p_compute.add_argument("--method", default="slam_bucket_rao",
                            choices=method_names())
-    # "native" stays in the choices even on a checkout without the compiled
-    # extension: selecting it then raises the unknown-engine error naming
-    # the engines that ARE available (tested by tests/test_native.py).
-    p_compute.add_argument("--engine", default="numpy",
-                           choices=("python", "numpy", "numpy_batch",
+    # "native" stays in the choices even where the extension did not load:
+    # selecting it then raises the unknown-engine error naming the engines
+    # that ARE available (tested by tests/test_native.py).
+    p_compute.add_argument("--engine", default="auto",
+                           choices=("auto", "python", "numpy", "numpy_batch",
                                     "native"),
-                           help="SLAM sweep engine: python (pseudocode), "
-                                "numpy (default; block-vectorized under the "
-                                "slam_bucket methods, per-row under "
-                                "slam_sort), numpy_batch (alias of the "
-                                "bucket numpy engine), or native (fused C "
-                                "loop + OpenMP; fastest, needs the compiled "
-                                "extension -- see docs/native.md)")
+                           help="SLAM sweep engine: auto (default; native "
+                                "where the extension loaded, else numpy), "
+                                "python (pseudocode), numpy (block-"
+                                "vectorized under the slam_bucket methods, "
+                                "per-row under slam_sort), numpy_batch "
+                                "(alias of the bucket numpy engine), or "
+                                "native (fused C loop + OpenMP, compiled on "
+                                "first import -- see docs/native.md)")
     p_compute.add_argument("--workers", type=_parse_workers, default=1,
                            help="row-sweep workers for SLAM methods: a count "
                                 "or 'auto' (default 1, serial)")
@@ -387,8 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--method", default="slam_bucket_rao",
                         choices=PARALLEL_METHODS,
                         help="SLAM method (the distributable ones)")
-    p_dist.add_argument("--engine", default="numpy",
-                        choices=("python", "numpy", "numpy_batch", "native"))
+    p_dist.add_argument("--engine", default="auto",
+                        choices=("auto", "python", "numpy", "numpy_batch",
+                                 "native"))
     p_dist.add_argument("--colormap", default="heat",
                         choices=("heat", "viridis", "gray"))
     p_dist.add_argument("--stats", action="store_true",
@@ -488,13 +490,15 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     except ValueError as exc:
         if "unknown engine" not in str(exc):
             raise
-        # e.g. --engine native on a checkout without the compiled extension:
-        # the message names the engines that ARE registered.
+        # e.g. --engine native where the extension did not load: the
+        # message names the engines that ARE registered.
         print(f"error: {exc}", file=sys.stderr)
         if args.engine == "native":
+            from .core.native import NATIVE_ERROR
+
             print(
-                "hint: the native engine needs the compiled extension; "
-                "build it with `python setup.py build_ext --inplace` "
+                f"hint: the native extension is unavailable ({NATIVE_ERROR}); "
+                "it compiles on first import when a C compiler is on PATH "
                 "(see docs/native.md)",
                 file=sys.stderr,
             )

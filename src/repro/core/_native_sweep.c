@@ -26,8 +26,8 @@
  *    the same truncating conversion).  The SIMD forms of all of these are
  *    correctly rounded too, so auto-vectorization cannot change a bit.
  *
- * The module is optional: setup.py builds it on a best-effort basis and
- * repro.core.native degrades to the pure-python engines when the import
+ * The module is optional: repro.core.native compiles it on first import
+ * and degrades to the bit-identical numpy engine when the build or the load
  * fails.  Only python-side-validated, C-contiguous float64 buffers reach
  * this code (see repro/core/native.py).
  */

@@ -65,7 +65,7 @@ GridFn = Callable[..., np.ndarray]
 
 
 def _slam_fn(name: str, table: dict[str, GridFn], rao: bool) -> Callable[..., np.ndarray]:
-    def fn(xy, raster, kernel, bandwidth, engine="numpy", **kwargs):
+    def fn(xy, raster, kernel, bandwidth, engine="auto", **kwargs):
         if engine not in table:
             raise ValueError(
                 f"unknown engine {engine!r} for method {name!r}; "
@@ -80,7 +80,7 @@ def _slam_fn(name: str, table: dict[str, GridFn], rao: bool) -> Callable[..., np
 
 
 def _plain(fn: GridFn) -> Callable[..., np.ndarray]:
-    def wrapped(xy, raster, kernel, bandwidth, engine="numpy", **kwargs):
+    def wrapped(xy, raster, kernel, bandwidth, engine="auto", **kwargs):
         # SCAN / RQS / Z-order have a single implementation; "engine" is
         # accepted for interface uniformity and ignored.
         return fn(xy, raster, kernel, bandwidth, **kwargs)
@@ -89,7 +89,10 @@ def _plain(fn: GridFn) -> Callable[..., np.ndarray]:
 
 
 def _engined(fn: GridFn) -> Callable[..., np.ndarray]:
-    def wrapped(xy, raster, kernel, bandwidth, engine="numpy", **kwargs):
+    def wrapped(xy, raster, kernel, bandwidth, engine="auto", **kwargs):
+        # aKDE and QUAD have their own numpy/python engines; "auto" is numpy.
+        if engine == "auto":
+            engine = "numpy"
         return fn(xy, raster, kernel, bandwidth, engine=engine, **kwargs)
 
     return wrapped
@@ -133,7 +136,7 @@ def compute_kdv(
     kernel: "str | Kernel" = "epanechnikov",
     bandwidth: "float | str" = "scott",
     method: str = "slam_bucket_rao",
-    engine: str = "numpy",
+    engine: str = "auto",
     normalization: str = "count",
     weights: np.ndarray | None = None,
     workers: "int | str" = 1,
@@ -163,16 +166,18 @@ def compute_kdv(
     method:
         One of :func:`method_names`.
     engine:
-        ``"numpy"`` (default), ``"python"`` (literal transcription of the
-        published pseudocode), ``"numpy_batch"``, or ``"native"`` — the
-        method's engines in :mod:`repro.core.engines`.  Under the bucket
-        methods ``"numpy"`` sweeps whole row blocks in O(1) array calls
-        (see :mod:`repro.core.batch`) and ``"numpy_batch"`` is its alias;
-        under ``slam_sort`` it is the per-row vectorized sort.
+        ``"auto"`` (default), ``"python"`` (literal transcription of the
+        published pseudocode), ``"numpy"``, ``"numpy_batch"``, or
+        ``"native"`` — the method's engines in :mod:`repro.core.engines`.
         ``"native"`` (bucket methods only) is a fused C loop with OpenMP
-        row parallelism, bit-identical to ``"numpy"``; it is registered
-        only when the optional extension is compiled — see
-        :mod:`repro.core.native` and ``docs/native.md``.
+        row parallelism, compiled on first import; it is registered only
+        where the extension loaded — see :mod:`repro.core.native` and
+        ``docs/native.md``.  Under the bucket methods ``"numpy"`` sweeps
+        whole row blocks in O(1) array calls (see :mod:`repro.core.batch`),
+        bit-identical to ``"native"``, and ``"numpy_batch"`` is its alias;
+        under ``slam_sort`` it is the per-row vectorized sort.  ``"auto"``
+        is ``"native"`` where it is registered and ``"numpy"`` otherwise,
+        so the default returns the same bits on every host.
     normalization:
         ``"none"`` (raw kernel sums, w = 1), ``"count"`` (w = 1/n, default;
         1/total-weight for weighted datasets), or ``"density"`` (proper 2-D
@@ -185,12 +190,14 @@ def compute_kdv(
     workers:
         ``1`` (default, serial), an integer worker count, or ``"auto"`` for
         the CPU count.  Honored by the SLAM methods
-        (:data:`PARALLEL_METHODS`), which partition the sweep into row
-        blocks for a process pool; results are bit-identical for every
-        setting.  Other methods run serially regardless.  Pass
-        ``backend="dist"`` as a method kwarg to fan the sweep out to
-        external worker processes via a :class:`repro.dist.Coordinator`
-        (pass one as the ``coordinator`` method kwarg, or let
+        (:data:`PARALLEL_METHODS`): the ``native`` engine (and ``"auto"``
+        where it loaded) runs that many OpenMP threads, the others
+        partition the sweep into row blocks for a process pool; results are
+        bit-identical for every setting.  Other methods run serially
+        regardless.  Pass ``backend="dist"`` as a method kwarg to fan the
+        sweep out to external worker processes via a
+        :class:`repro.dist.Coordinator` (pass one as the ``coordinator``
+        method kwarg, or let
         :func:`repro.dist.resolve_coordinator` find one; see
         ``docs/distributed.md``).  Backend names are validated up front via
         :func:`repro.core.parallel.validate_backend` for every method that

@@ -1,7 +1,8 @@
 """Block-vectorized bucket sweep engine — SLAM_BUCKET's ``numpy`` engine.
 
-This is the engine behind ``engine="numpy"`` (the default) under the bucket
-methods; ``"numpy_batch"`` is an alias of it.  The per-row driver in
+This is the engine behind ``engine="numpy"`` under the bucket methods, and
+behind the default ``engine="auto"`` where the compiled extension did not
+load; ``"numpy_batch"`` is an alias of it.  The per-row driver in
 :mod:`repro.core.sweep` executes a Python-level loop over all ``Y`` pixel
 rows — each iteration doing an envelope slice, ``row_frame``,
 ``channel_values``, and a row-engine call, i.e. roughly fifty NumPy

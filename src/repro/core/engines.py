@@ -65,13 +65,18 @@ def _method_table(method: str) -> "dict[str, Callable[..., np.ndarray]]":
     }
 
 
-#: Grid-level SLAM_SORT (Algorithm 1) by engine.
+#: Grid-level SLAM_SORT (Algorithm 1) by engine.  ``auto``, the default
+#: everywhere, is the per-row ``numpy`` sort.
 slam_sort_grid = _method_table("slam_sort")
+slam_sort_grid["auto"] = slam_sort_grid["numpy"]
 
 #: Grid-level SLAM_BUCKET (Algorithm 2) by engine.  ``numpy_batch`` is an
 #: alias of ``numpy``, and the ``native`` entry maps ``workers`` to OpenMP
-#: threads (see :func:`repro.core.native.native_grid`).
+#: threads (see :func:`repro.core.native.native_grid`).  ``auto``, the
+#: default everywhere, is ``native`` where the extension loaded and the
+#: bit-identical ``numpy`` block engine otherwise.
 slam_bucket_grid = _method_table("slam_bucket")
 slam_bucket_grid["numpy_batch"] = slam_bucket_grid["numpy"]
 if NATIVE_AVAILABLE:
     slam_bucket_grid["native"] = native_grid
+slam_bucket_grid["auto"] = slam_bucket_grid.get("native", slam_bucket_grid["numpy"])

@@ -1,23 +1,37 @@
 """The ``native`` engine: fused C bucket sweep with OpenMP row parallelism.
 
-:mod:`repro.core._native_sweep` (an optional C extension, built on a
-best-effort basis by ``setup.py``) implements the whole bucket sweep as one
-fused per-row loop — binary-search envelope extraction, arithmetic bucket
-assignment, difference-row accumulation, and the prefix sweep + kernel
-recombination — with no intermediate tensors, parallelized across rows with
-OpenMP.  This module wraps it in the engine shape of :mod:`repro.core.sweep`
-(``name``, ``threads``, ``sweep_block``) as ``slam_bucket.native``, so the
-shared drivers (:func:`repro.core.sweep.sweep_kdv`, the dist worker, the RAO
-wrapper) need no special cases.
+:mod:`repro.core._native_sweep` (a C extension compiled from
+``_native_sweep.c`` on first import, see below) implements the whole bucket
+sweep as one fused per-row loop — binary-search envelope extraction,
+arithmetic bucket assignment, difference-row accumulation, and the prefix
+sweep + kernel recombination — with no intermediate tensors, parallelized
+across rows with OpenMP.  This module wraps it in the engine shape of
+:mod:`repro.core.sweep` (``name``, ``threads``, ``sweep_block``) as
+``slam_bucket.native``, so the shared drivers (:func:`repro.core.sweep.sweep_kdv`,
+the dist worker, the RAO wrapper) need no special cases.  Where it loads,
+it is the default engine: ``engine="auto"`` resolves to it
+(:mod:`repro.core.engines`).
 
-Optional-build semantics
-------------------------
-The extension import is attempted once at module import.  When it is absent
-(no C toolchain, or ``REPRO_BUILD_NATIVE=0`` at build time) this module still
-imports cleanly: :data:`NATIVE_AVAILABLE` is ``False``, the ``"native"`` name
-is simply not registered in the engine tables, and requesting it raises the
-standard unknown-engine error naming the engines that *are* available.  See
-``docs/native.md`` for build instructions and the fallback matrix.
+Build on demand
+---------------
+The first import compiles ``_native_sweep.c`` with the host C compiler into
+``$XDG_CACHE_HOME/repro/`` (``~/.cache/repro/`` when unset).  The file name
+carries a hash of the source bytes, the compiler flags, the interpreter's
+``EXT_SUFFIX`` and the machine, so a changed source or another interpreter
+gets its own build.  Every later import only hashes the source, stats the
+file and loads it: no compiler, no setuptools.  A miss compiles to a
+temporary name in the cache directory and renames it into place, so
+processes that import at the same moment (a dist pool starting up) never
+load a partial file.  An unkeyed ``_native_sweep*.so`` beside this module,
+left by an old in-place build, is never imported.
+
+Every failure falls back quietly: no compiler, a compile error, a load
+error, or a cache directory that cannot be written.  This module still
+imports cleanly, :data:`NATIVE_AVAILABLE` is ``False``,
+:data:`NATIVE_ERROR` says why, the ``"native"`` name is not registered in
+the engine tables, and ``"auto"`` runs the bit-identical numpy block engine.
+``REPRO_BUILD_NATIVE=0`` skips the extension (no load, no compile).  See
+``docs/native.md``.
 
 Thread model
 ------------
@@ -36,6 +50,13 @@ by ``tests/test_native.py`` and the ``tests/test_batch.py`` parity matrix.
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import os
+import platform
+import sys
+import sysconfig
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -47,21 +68,94 @@ from .kernels import Kernel
 from .parallel import resolve_workers
 from .sweep import sweep_kdv
 
-try:  # pragma: no cover - exercised via the availability tests
-    from . import _native_sweep as _impl
-except ImportError:  # the wheel-less / toolchain-less checkout
-    _impl = None
+_SOURCE = Path(__file__).with_name("_native_sweep.c")
+
+#: ``-ffp-contract=off`` is load-bearing: the bit-identity contract forbids
+#: fusing a*b+c into one FMA, which rounds once instead of twice.
+#: ``-march=native`` cannot change a bit (div/sqrt/round/convert stay
+#: correctly rounded in SIMD form), and a build on demand always targets the
+#: host that loads it.
+_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-march=native", "-fPIC")
+#: Tried first; a toolchain without OpenMP gets the serial fused loop.
+_OPENMP = ("-fopenmp",)
+
+
+def _cache_path(source: bytes) -> Path:
+    """Where the build of ``source`` for this interpreter and host lives."""
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    key = hashlib.sha256(source)
+    key.update("\0".join((*_FLAGS, *_OPENMP, suffix, platform.machine())).encode())
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    return Path(base, "repro", f"_native_sweep-{key.hexdigest()[:16]}{suffix}")
+
+
+def _compile(target: Path) -> None:
+    """Compile :data:`_SOURCE` into ``target``: the only code that starts a
+    compiler, run on a cache miss.  ``$CC`` replaces the interpreter's
+    configured compiler, as in setuptools."""
+    import shlex
+    import subprocess
+    import tempfile
+
+    cc = sysconfig.get_config_var("CC") or "cc"
+    command = sysconfig.get_config_var("LDSHARED") or f"{cc} -shared"
+    if os.environ.get("CC") and command.startswith(cc):
+        command = os.environ["CC"] + command[len(cc):]
+    include = sysconfig.get_paths()["include"]
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", dir=target.parent)
+    os.close(fd)
+    try:
+        for openmp in (_OPENMP, ()):
+            argv = [*shlex.split(command), *_FLAGS, *openmp, f"-I{include}",
+                    str(_SOURCE), "-o", tmp]
+            done = subprocess.run(argv, capture_output=True, text=True)
+            if done.returncode == 0:
+                os.replace(tmp, target)
+                return
+        lines = done.stderr.strip().splitlines() or ["no output"]
+        detail = next((line for line in lines if "error" in line), lines[-1])
+        raise OSError(f"{argv[0]} exited with {done.returncode}: {detail}")
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load_extension():
+    """``(module, "")`` when the extension loads, else ``(None, reason)``."""
+    if os.environ.get("REPRO_BUILD_NATIVE", "1").strip().lower() in (
+        "", "0", "false", "no"
+    ):
+        return None, "REPRO_BUILD_NATIVE=0"
+    try:
+        path = _cache_path(_SOURCE.read_bytes())
+        if not path.exists():
+            _compile(path)
+        spec = importlib.util.spec_from_file_location(
+            "repro.core._native_sweep", path
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except Exception as exc:  # no compiler, compile/load error, read-only cache
+        return None, f"{type(exc).__name__}: {exc}"
+    sys.modules[spec.name] = module
+    return module, ""
+
+
+_impl, NATIVE_ERROR = _load_extension()
 
 __all__ = [
     "NATIVE_AVAILABLE",
+    "NATIVE_ERROR",
     "NATIVE_OPENMP",
     "NativeEngine",
     "native_grid",
     "native_max_threads",
 ]
 
-#: ``True`` when the C extension imported; the ``"native"`` engine-table
-#: entries exist only in that case.
+#: ``True`` when the C extension loaded; the ``"native"`` engine-table
+#: entries exist only in that case.  :data:`NATIVE_ERROR` is the reason
+#: when it is ``False`` (``""`` otherwise).
 NATIVE_AVAILABLE = _impl is not None
 
 #: ``True`` when the extension was additionally compiled with OpenMP (row
@@ -81,17 +175,17 @@ def native_max_threads() -> int:
 
 def _unavailable_error() -> RuntimeError:
     return RuntimeError(
-        "the native sweep extension (repro.core._native_sweep) is not "
-        "built; run `python setup.py build_ext --inplace` with a C "
-        "toolchain, or use the default numpy engine (bit-identical, pure "
-        "python) — see docs/native.md"
+        "the native sweep extension (repro.core._native_sweep) is "
+        f"unavailable: {NATIVE_ERROR}.  It compiles on first import when a "
+        "C compiler is on PATH; the numpy engine computes the same bits "
+        "without it — see docs/native.md"
     )
 
 
 class NativeEngine:
     """Whole-block sweep engine backed by the fused C loop.
 
-    Registered as ``slam_bucket.native`` when the extension is compiled, and
+    Registered as ``slam_bucket.native`` when the extension loaded, and
     bit-identical to :class:`~repro.core.batch.NumpyBatchEngine` (and to
     ``slam_bucket_row_numpy``) by the extension's operand-order contract.
     ``threads`` is the OpenMP row-parallelism width for each block; with 1

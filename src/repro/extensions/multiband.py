@@ -39,7 +39,7 @@ def compute_multiband(
     size: tuple[int, int] = (1280, 960),
     kernel: str = "epanechnikov",
     variant: str = "slam_bucket",
-    engine: str = "numpy",
+    engine: str = "auto",
     rao: bool = True,
     normalization: str = "count",
 ) -> list[KDVResult]:

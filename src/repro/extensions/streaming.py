@@ -44,10 +44,11 @@ class StreamingKDV:
     method:
         Any *exact* registered method; SLAM_BUCKET^(RAO) by default.
     engine:
-        Sweep engine forwarded to the method.  The default ``"numpy"`` is
-        the block-vectorized bucket sweep under the ``slam_bucket`` methods
-        (``"numpy_batch"`` is its alias), so each delta costs a handful of
-        whole-block array passes rather than a Python loop over rows.
+        Sweep engine forwarded to the method.  The default ``"auto"`` is the
+        compiled ``native`` sweep under the ``slam_bucket`` methods where it
+        loaded, else the bit-identical block-vectorized ``numpy`` sweep, so
+        each delta costs one fused C loop or a handful of whole-block array
+        passes rather than a Python loop over rows.
     rebuild_every:
         Full recomputation after this many delete batches, bounding float
         cancellation drift (set ``None`` to disable).
@@ -65,7 +66,7 @@ class StreamingKDV:
         kernel: str = "epanechnikov",
         bandwidth: float = 500.0,
         method: str = "slam_bucket_rao",
-        engine: str = "numpy",
+        engine: str = "auto",
         rebuild_every: "int | None" = 1000,
         require_timestamps: bool = False,
     ):

@@ -241,7 +241,7 @@ def pyramid_grid(
     bandwidth: float,
     kernel: str = "epanechnikov",
     method: str = "slam_bucket_rao",
-    engine: str = "numpy",
+    engine: str = "auto",
     ysorted=None,
 ) -> np.ndarray:
     """Exact KDV at ``1/2^level`` resolution, upsampled back to ``size``.
@@ -251,9 +251,9 @@ def pyramid_grid(
     render is ``compute_kdv`` at ``max(1, size // 2^level)`` per axis with
     ``normalization="none"`` and the upsample is
     :func:`~repro.extensions.progressive.upsample_preview`.  Degraded
-    renders run synchronously on request threads; the default ``numpy``
-    engine is the block-vectorized bucket sweep, which suits the
-    small-workload regime these tiers live in.
+    renders run synchronously on request threads, on the default engine
+    (``"auto"``: the compiled sweep where it loaded, else the bit-identical
+    numpy block sweep).
     """
     if level < 1:
         raise ValueError("level must be >= 1")
@@ -284,7 +284,7 @@ def coreset_grid(
     bandwidth: float,
     kernel: str = "epanechnikov",
     method: str = "slam_bucket_rao",
-    engine: str = "numpy",
+    engine: str = "auto",
     order: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Full-resolution KDV of a Z-order coreset, scaled back to ``n/m``.
@@ -292,13 +292,11 @@ def coreset_grid(
     The sample is the same evenly spaced Z-order subsequence as
     :func:`~repro.baselines.zorder.zorder_sample`; evaluation runs through
     the configured (SLAM) ``method`` instead of the chunked SCAN baseline —
-    mathematically identical, materially faster.  The default ``engine``
-    is the block-vectorized ``numpy`` sweep (see :func:`pyramid_grid`): a
-    small-``m`` sample swept at full resolution is exactly the
-    per-row-overhead-dominated regime it targets.  ``order`` accepts a
-    precomputed ``zorder_argsort`` of the points (the service caches one per
-    ingest generation); ``sample_size >= n`` degenerates to the exact render
-    of all points.
+    mathematically identical, materially faster, on the default engine (see
+    :func:`pyramid_grid`).  ``order`` accepts a precomputed
+    ``zorder_argsort`` of the points (the service caches one per ingest
+    generation); ``sample_size >= n`` degenerates to the exact render of all
+    points.
     """
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")

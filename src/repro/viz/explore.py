@@ -96,7 +96,7 @@ class ExplorationSession:
         method: str = "slam_bucket_rao",
         kernel: str = "epanechnikov",
         bandwidth: "float | str" = "scott",
-        engine: str = "numpy",
+        engine: str = "auto",
     ):
         if len(points) == 0:
             raise ValueError("cannot explore an empty dataset")

@@ -259,7 +259,7 @@ class TestDocumentedKnobTables:
         )
         env_sources = src + "\n".join(
             p.read_text() for p in (REPO / "benchmarks").glob("*.py")
-        ) + (REPO / "setup.py").read_text()  # REPRO_NATIVE_* build knobs
+        )
         rows = 0
         missing = []
         for doc, cells in self._knob_rows():

@@ -2,14 +2,18 @@
 
 Two availability regimes, both first-class:
 
-* **Fallback checkout** (no compiled extension): the package imports
-  cleanly, ``native`` is absent from the engine tables, requesting it fails
-  with the standard unknown-engine error naming the engines that *are*
-  available, and the CLI adds a build hint.  These tests always run.
-* **Compiled checkout**: the parity suite pins the engine bit-identical to
-  the default ``numpy`` block engine (and hence to the per-row
-  ``slam_bucket_row_numpy`` oracle) across kernels, weights, thread counts,
-  and RAO orientations; skip-marked when the extension is absent.
+* **Fallback** (the extension did not load): the package imports cleanly,
+  ``native`` is absent from the engine tables, ``auto`` runs the numpy
+  block engine, requesting ``native`` fails with the standard
+  unknown-engine error naming the engines that *are* available, and the
+  CLI adds a hint naming the reason.  These tests always run, against a
+  monkeypatched registry or a ``REPRO_BUILD_NATIVE=0`` subprocess.
+* **Loaded** (a C compiler built it on first import): the parity suite pins
+  the engine bit-identical to the ``numpy`` block engine (and hence to the
+  per-row ``slam_bucket_row_numpy`` oracle) across kernels, weights,
+  thread counts, and RAO orientations; every default path reaches the C
+  loop; and the build cache is keyed, atomic and compiler-free when warm.
+  Skip-marked only where no compiler is available.
 
 The shm transport tests exercise the tentpole's second layer end to end:
 <1 KB of TCP per shard, bit-identical grids, pickle parity, runtime
@@ -19,8 +23,16 @@ demotion, and clean ``/dev/shm`` teardown after a SIGKILL'd worker.
 from __future__ import annotations
 
 import glob
+import json
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
 import threading
 import types
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +42,7 @@ from repro.cli import build_parser, main as cli_main
 from repro.core.batch import NumpyBatchEngine
 from repro.core.envelope import YSortedIndex
 from repro.core.kernels import get_kernel
-from repro.core.native import NATIVE_AVAILABLE, native_max_threads
+from repro.core.native import NATIVE_AVAILABLE, NativeEngine, native_max_threads
 from repro.dist import shm
 from repro.dist.coordinator import Coordinator
 from repro.dist.errors import DistError
@@ -43,8 +55,10 @@ from repro.dist.worker import (
 from repro.obs import Recorder
 
 needs_native = pytest.mark.skipif(
-    not NATIVE_AVAILABLE, reason="native sweep extension not compiled"
+    not NATIVE_AVAILABLE, reason="native sweep extension did not load"
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 KERNEL_NAMES = ("uniform", "epanechnikov", "quartic")
 
@@ -70,14 +84,31 @@ def _sweep_args(xy, bandwidth=9.0, width=64, height=48, region=(100.0, 80.0)):
 
 
 # ---------------------------------------------------------------------------
-# Availability matrix (always runs; the fallback half is what CI's
-# pure-python jobs exercise)
+# Availability matrix (always runs; the fallback half runs against the
+# registry a host without the extension builds)
 # ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fallback(monkeypatch):
+    """The engine registry as :mod:`repro.core.engines` builds it where the
+    extension did not load (pinned to the real thing by
+    ``test_build_native_0_falls_back_to_the_same_bits``)."""
+    import repro.core.engines as engines_mod
+    import repro.core.native as native_mod
+
+    monkeypatch.setattr(native_mod, "NATIVE_AVAILABLE", False)
+    monkeypatch.setattr(native_mod, "NATIVE_ERROR", "REPRO_BUILD_NATIVE=0")
+    monkeypatch.setattr(engines_mod, "NATIVE_AVAILABLE", False)
+    monkeypatch.delitem(engines_mod.ENGINES, engines_mod.NATIVE, raising=False)
+    table = engines_mod.slam_bucket_grid
+    monkeypatch.delitem(table, "native", raising=False)
+    monkeypatch.setitem(table, "auto", table["numpy"])
 
 
 class TestAvailability:
     def test_module_imports_without_extension(self):
-        """repro.core.native must import on a wheel-less checkout."""
+        """repro.core.native imports whether or not the extension loaded."""
         import repro.core.native as native_mod
 
         assert isinstance(native_mod.NATIVE_AVAILABLE, bool)
@@ -91,8 +122,7 @@ class TestAvailability:
         # native buckets, so the sorting method never lists it
         assert "native" not in slam_sort_grid
 
-    @pytest.mark.skipif(NATIVE_AVAILABLE, reason="extension is compiled here")
-    def test_unknown_engine_error_names_available(self, cluster_xy):
+    def test_unknown_engine_error_names_available(self, cluster_xy, fallback):
         with pytest.raises(ValueError, match="unknown engine 'native'") as exc:
             compute_kdv(
                 cluster_xy, size=(16, 12), bandwidth=9.0,
@@ -100,27 +130,25 @@ class TestAvailability:
             )
         assert "numpy_batch" in str(exc.value)
 
-    @pytest.mark.skipif(NATIVE_AVAILABLE, reason="extension is compiled here")
-    def test_engine_constructor_raises_clean_error(self):
-        from repro.core.native import NativeEngine
-
-        with pytest.raises(RuntimeError, match="docs/native.md"):
+    def test_engine_constructor_raises_clean_error(self, fallback):
+        with pytest.raises(RuntimeError, match="REPRO_BUILD_NATIVE=0") as exc:
             NativeEngine()
+        assert "docs/native.md" in str(exc.value)
 
     def test_cli_accepts_native_choice(self):
-        # ``native`` stays in the CLI choices even on a fallback checkout
-        # so the error is ours (naming the build fix), not argparse's.
+        # ``native`` stays in the CLI choices even where it did not load,
+        # so the error is ours (naming the reason), not argparse's.
         args = build_parser().parse_args(
             ["compute", "x.csv", "--engine", "native"]
         )
         assert args.engine == "native"
 
-    @pytest.mark.skipif(NATIVE_AVAILABLE, reason="extension is compiled here")
     def test_cli_error_message_names_available_engines(
-        self, cluster_xy, tmp_path, capsys
+        self, cluster_xy, tmp_path, capsys, fallback
     ):
-        """`repro compute --engine native` on a fallback checkout: exit 2
-        plus an error naming the registered engines and a build hint."""
+        """`repro compute --engine native` where the extension did not load:
+        exit 2, plus an error naming the registered engines and a hint
+        naming the reason."""
         csv = tmp_path / "pts.csv"
         save_csv(PointSet(cluster_xy), csv)
         code = cli_main([
@@ -131,11 +159,12 @@ class TestAvailability:
         err = capsys.readouterr().err
         assert "unknown engine 'native'" in err
         assert "numpy_batch" in err
+        assert "REPRO_BUILD_NATIVE=0" in err
         assert "docs/native.md" in err
 
 
 # ---------------------------------------------------------------------------
-# Parity suite (compiled checkouts only)
+# Parity suite (where the extension loaded)
 # ---------------------------------------------------------------------------
 
 
@@ -149,8 +178,6 @@ class TestNativeParity:
     def test_kernels_weights_threads(
         self, kernel_name, weighted, threads, cluster_xy, cluster_weights
     ):
-        from repro.core.native import NativeEngine
-
         ysorted, y_centers, xs_scaled, cx = _sweep_args(cluster_xy)
         kernel = get_kernel(kernel_name)
         sw = cluster_weights[ysorted.order] if weighted else None
@@ -190,8 +217,6 @@ class TestNativeParity:
         assert b.stats.backend == "openmp"
 
     def test_empty_and_degenerate(self):
-        from repro.core.native import NativeEngine
-
         for n, width, height in ((0, 8, 6), (1, 1, 5), (7, 5, 1)):
             xy = np.random.default_rng(n).uniform((0, 0), (50, 40), (n, 2))
             ysorted, y_centers, xs_scaled, cx = _sweep_args(
@@ -208,8 +233,6 @@ class TestNativeParity:
             assert np.array_equal(ref, got)
 
     def test_recorder_counters_match_batch(self, cluster_xy):
-        from repro.core.native import NativeEngine
-
         ysorted, y_centers, xs_scaled, cx = _sweep_args(cluster_xy)
         kernel = get_kernel("epanechnikov")
         snaps = []
@@ -224,8 +247,6 @@ class TestNativeParity:
             assert snaps[0][key] == snaps[1][key]
 
     def test_dist_engine_spec_round_trip(self):
-        from repro.core.native import NativeEngine
-
         spec = engine_spec(NativeEngine(threads=3))
         assert spec == {"name": "slam_bucket.native", "threads": 3}
         engine = resolve_engine(spec)
@@ -233,8 +254,6 @@ class TestNativeParity:
         assert engine.threads == 3
 
     def test_unknown_kernel_rejected(self, cluster_xy):
-        from repro.core.native import NativeEngine
-
         ysorted, y_centers, xs_scaled, cx = _sweep_args(cluster_xy)
         fake = types.SimpleNamespace(name="triangular", num_channels=1)
         with pytest.raises(ValueError, match="triangular"):
@@ -243,14 +262,313 @@ class TestNativeParity:
             )
 
 
-def test_native_spec_falls_back_to_batch_when_absent(monkeypatch):
+def test_native_spec_falls_back_to_batch_when_absent(fallback):
     """A worker without the extension resolves a native spec to the
     bit-identical numpy_batch engine instead of erroring the shard."""
-    import repro.core.engines as engines_mod
-
-    monkeypatch.setattr(engines_mod, "NATIVE_AVAILABLE", False)
     engine = resolve_engine({"name": "slam_bucket.native", "threads": 2})
     assert isinstance(engine, NumpyBatchEngine)
+
+
+# ---------------------------------------------------------------------------
+# Build on demand: the fallback for real, and the content-keyed cache
+# ---------------------------------------------------------------------------
+
+#: What a fresh interpreter reports after ``import repro``.
+_REPORT = """
+import json, sys
+import repro
+from repro.core import engines, native
+print(json.dumps({
+    "available": native.NATIVE_AVAILABLE,
+    "error": native.NATIVE_ERROR,
+    "file": getattr(native._impl, "__file__", None),
+    "module": getattr(sys.modules.get("repro.core._native_sweep"),
+                      "__file__", None),
+    "auto_is_numpy": engines.slam_bucket_grid["auto"]
+                     is engines.slam_bucket_grid["numpy"],
+    "build_modules": sorted(m for m in ("setuptools", "distutils")
+                            if m in sys.modules),
+}))
+"""
+
+
+def _fresh_env(cache: Path, src: Path = SRC, **env) -> dict:
+    return {
+        **os.environ,
+        "PYTHONPATH": str(src),
+        "XDG_CACHE_HOME": str(cache),
+        "REPRO_BUILD_NATIVE": "1",
+        **env,
+    }
+
+
+def _report(cache: Path, src: Path = SRC, **env) -> dict:
+    """Import repro in a fresh interpreter caching builds under ``cache``."""
+    done = subprocess.run(
+        [sys.executable, "-c", _REPORT], env=_fresh_env(cache, src, **env),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def _cache_files(cache: Path) -> "list[str]":
+    root = cache / "repro"
+    return sorted(os.listdir(root)) if root.is_dir() else []
+
+
+def _package_copy(dest: Path) -> Path:
+    """A copy of the ``repro`` package whose files a test may change."""
+    shutil.copytree(
+        SRC / "repro", dest / "repro",
+        ignore=shutil.ignore_patterns("__pycache__", "*.so"),
+    )
+    return dest
+
+
+@needs_native
+def test_build_native_0_falls_back_to_the_same_bits(cluster_xy, tmp_path):
+    """``REPRO_BUILD_NATIVE=0``: no extension, ``auto`` is the numpy block
+    engine, and the default grid equals this process's native grid."""
+    kw = dict(size=(48, 36), bandwidth=9.0, kernel="quartic")
+    np.save(tmp_path / "xy.npy", cluster_xy)
+    script = _REPORT + (
+        "import numpy as np\n"
+        f"xy = np.load({str(tmp_path / 'xy.npy')!r})\n"
+        f"grid = repro.compute_kdv(xy, **{kw!r}).grid\n"
+        f"np.save({str(tmp_path / 'grid.npy')!r}, grid)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=_fresh_env(tmp_path / "cache", REPRO_BUILD_NATIVE="0"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["available"] is False
+    assert report["error"] == "REPRO_BUILD_NATIVE=0"
+    assert report["auto_is_numpy"]
+    assert _cache_files(tmp_path / "cache") == []
+    native = compute_kdv(cluster_xy, engine="native", **kw).grid
+    assert np.array_equal(np.load(tmp_path / "grid.npy"), native)
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory) -> Path:
+    """A build cache holding one build of this checkout's source."""
+    cache = tmp_path_factory.mktemp("cache")
+    assert _report(cache)["available"]
+    return cache
+
+
+@needs_native
+class TestBuildCache:
+    def test_changed_source_gets_a_new_key_and_a_rebuild(
+        self, warm_cache, tmp_path
+    ):
+        cache = tmp_path / "cache"
+        shutil.copytree(warm_cache, cache)
+        src = _package_copy(tmp_path / "src")
+        first = _report(cache, src)
+        assert first["available"] and len(_cache_files(cache)) == 1
+        with open(src / "repro" / "core" / "_native_sweep.c", "a") as fh:
+            fh.write("/* changed */\n")
+        second = _report(cache, src)
+        assert second["available"]
+        assert second["file"] != first["file"]
+        assert len(_cache_files(cache)) == 2
+
+    def test_stale_inplace_build_is_never_imported(self, warm_cache, tmp_path):
+        """A ``_native_sweep*.so`` beside native.py (an old in-place build)
+        loses to the keyed cache entry, even under its own import name."""
+        src = _package_copy(tmp_path / "src")
+        (built,) = _cache_files(warm_cache)
+        stale = src / "repro" / "core" / (
+            "_native_sweep" + sysconfig.get_config_var("EXT_SUFFIX")
+        )
+        shutil.copy(warm_cache / "repro" / built, stale)
+        report = _report(warm_cache, src)
+        assert report["available"]
+        assert report["file"] == str(warm_cache / "repro" / built)
+        assert report["module"] == report["file"]
+
+    def test_concurrent_cold_imports_both_load(self, tmp_path):
+        cache = tmp_path / "cache"
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _REPORT], env=_fresh_env(cache),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for _ in range(2)
+        ]
+        reports = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            reports.append(json.loads(out))
+        assert all(r["available"] for r in reports)
+        assert reports[0]["file"] == reports[1]["file"]
+        # one build in place, no temporary file left behind
+        assert _cache_files(cache) == [Path(reports[0]["file"]).name]
+
+    def test_warm_import_starts_no_compiler_and_no_setuptools(
+        self, warm_cache
+    ):
+        # A compile would fail with either of these, so loading proves the
+        # warm path ran no compiler.
+        report = _report(warm_cache, CC="false", PATH="")
+        assert report["available"], report["error"]
+        assert report["build_modules"] == []
+
+
+@pytest.mark.parametrize("env", ({"CC": "false"}, {"CC": "cc", "PATH": ""}),
+                         ids=("failing-compiler", "no-compiler"))
+def test_unusable_compiler_falls_back_quietly(env, tmp_path):
+    cache = tmp_path / "cache"
+    report = _report(cache, **env)
+    assert report["available"] is False
+    assert report["error"]
+    assert report["auto_is_numpy"]
+    assert _cache_files(cache) == []  # no partial build
+
+
+# ---------------------------------------------------------------------------
+# Every default path reaches the C loop
+# ---------------------------------------------------------------------------
+
+
+def _default_path_cases():
+    """``name -> (setup, action)``: ``action(setup())`` must sweep through
+    the default engine; ``setup`` work (index builds, seeding a service)
+    is not counted."""
+    from repro.extensions.multiband import compute_multiband
+    from repro.extensions.streaming import StreamingKDV
+    from repro.serve.quality import coreset_grid, pyramid_grid
+    from repro.serve.service import TileService
+    from repro.viz.explore import ExplorationSession
+    from repro.viz.tiles import TileScheme, render_tile
+
+    region = Region(0.0, 0.0, 100.0, 80.0)
+    size = (32, 24)
+
+    def service(xy, **kw):
+        t = np.linspace(0.0, 100.0, len(xy))
+        return TileService(PointSet(xy, t=t), tile_size=32, bandwidth=9.0,
+                           max_zoom=2, **kw)
+
+    def cli(xy, tmp):
+        csv = tmp / "pts.csv"
+        save_csv(PointSet(xy), csv)
+        return ["compute", str(csv), "-o", str(tmp / "o.ppm"), "--size",
+                "32x24", "--bandwidth", "9"]
+
+    def closing(fn):
+        def run(svc):
+            try:
+                fn(svc)
+            finally:
+                svc.close()
+        return run
+
+    return {
+        "compute_kdv": (
+            lambda xy, tmp: xy,
+            lambda xy: compute_kdv(xy, size=size, bandwidth=9.0),
+        ),
+        "render_tile": (
+            lambda xy, tmp: xy,
+            lambda xy: render_tile(xy, TileScheme.for_points(xy), 1, 0, 0,
+                                   tile_size=32, bandwidth=9.0),
+        ),
+        "TileService": (
+            lambda xy, tmp: service(xy),
+            closing(lambda svc: svc.get_tile(1, 0, 0)),
+        ),
+        "window_tile": (
+            lambda xy, tmp: service(xy, window_s=50.0),
+            closing(lambda svc: svc.get_tile(1, 0, 0, window=50.0)),
+        ),
+        "StreamingKDV.insert": (
+            lambda xy, tmp: (StreamingKDV(region, size=size, bandwidth=9.0), xy),
+            lambda args: args[0].insert(args[1]),
+        ),
+        "pyramid_grid": (
+            lambda xy, tmp: xy,
+            lambda xy: pyramid_grid(xy, region, size, level=1, bandwidth=9.0),
+        ),
+        "coreset_grid": (
+            lambda xy, tmp: xy,
+            lambda xy: coreset_grid(xy, region, size, sample_size=500,
+                                    bandwidth=9.0),
+        ),
+        "ExplorationSession.render": (
+            lambda xy, tmp: ExplorationSession(PointSet(xy), size=size,
+                                           bandwidth=9.0),
+            lambda session: session.render(),
+        ),
+        "compute_multiband": (
+            lambda xy, tmp: xy,
+            lambda xy: compute_multiband(xy, [5.0, 9.0], size=size),
+        ),
+        "repro compute": (cli, lambda argv: cli_main(argv)),
+    }
+
+
+@needs_native
+@pytest.mark.parametrize("path", list(_default_path_cases()))
+def test_default_path_runs_the_c_loop(path, cluster_xy, tmp_path, monkeypatch):
+    setup, action = _default_path_cases()[path]
+    state = setup(cluster_xy, tmp_path)
+    calls = []
+    real = NativeEngine.sweep_block
+
+    def spy(self, *args, **kwargs):
+        calls.append(self.threads)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(NativeEngine, "sweep_block", spy)
+    action(state)
+    assert calls, f"{path} never called NativeEngine.sweep_block"
+
+
+@needs_native
+def test_default_dist_render_ships_the_native_spec(cluster_xy, monkeypatch):
+    specs = []
+    real = Coordinator.render_sweep
+
+    def spy(self, **kwargs):
+        specs.append(kwargs["engine"])
+        return real(self, **kwargs)
+
+    monkeypatch.setattr(Coordinator, "render_sweep", spy)
+    kw = dict(size=(32, 24), bandwidth=9.0)
+    with Coordinator([]) as coord:
+        dist = compute_kdv(cluster_xy, backend="dist", coordinator=coord, **kw)
+    assert specs == [{"name": "slam_bucket.native", "threads": 1}]
+    assert np.array_equal(dist.grid, compute_kdv(cluster_xy, **kw).grid)
+
+
+def test_concurrent_service_renders_equal_serial_numpy(cluster_xy):
+    """``repro serve`` runs the C loop on several render threads at once
+    (the loop releases the GIL): every tile still equals a serial numpy
+    render."""
+    from repro.serve.service import TileService
+    from repro.viz.tiles import TileScheme
+
+    scheme = TileScheme.for_points(cluster_xy)
+    tiles = [(2, tx, ty) for tx in range(4) for ty in range(4)]
+    with TileService(cluster_xy, scheme, tile_size=64, bandwidth=9.0,
+                     max_zoom=2, workers=4,
+                     queue_limit=len(tiles)) as service:
+        with ThreadPoolExecutor(max_workers=len(tiles)) as clients:
+            got = list(clients.map(lambda t: service.get_tile(*t), tiles))
+    for (zoom, tx, ty), grid in zip(tiles, got):
+        ref = compute_kdv(
+            cluster_xy, region=scheme.tile_region(zoom, tx, ty),
+            size=(64, 64), bandwidth=9.0, normalization="none",
+            engine="numpy",
+        ).grid
+        assert np.array_equal(grid, ref), (zoom, tx, ty)
 
 
 # ---------------------------------------------------------------------------

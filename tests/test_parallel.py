@@ -208,8 +208,11 @@ class TestStats:
         assert s.rows_per_sec > 0
 
     def test_parallel_block_count(self, xy):
+        # engine="numpy": the default engine runs OpenMP threads instead of
+        # the process pool where the native extension loaded
         result = compute_kdv(xy, size=(16, 12), bandwidth=9.0,
-                             method="slam_bucket", workers=2, backend="process")
+                             method="slam_bucket", engine="numpy", workers=2,
+                             backend="process")
         s = result.stats
         assert s.backend == "process"
         assert 1 < s.blocks <= 2 * BLOCKS_PER_WORKER

@@ -94,14 +94,18 @@ class TestEngineParity:
         from repro.core.native import NATIVE_AVAILABLE
 
         # The block engines bucket, so only the slam_bucket table lists
-        # them; ``numpy_batch`` is an alias of its ``numpy`` engine.
-        expected = {"python", "numpy", "numpy_batch"}
+        # them; ``numpy_batch`` is an alias of its ``numpy`` engine, and
+        # ``auto`` is the compiled engine where it loaded, else ``numpy``.
+        expected = {"auto", "python", "numpy", "numpy_batch"}
         if NATIVE_AVAILABLE:
             # The compiled engine registers conditionally (docs/native.md).
             expected.add("native")
-        assert set(slam_sort_grid) == {"python", "numpy"}
+        assert set(slam_sort_grid) == {"auto", "python", "numpy"}
         assert set(slam_bucket_grid) == expected
         assert slam_bucket_grid["numpy"] is slam_bucket_grid["numpy_batch"]
+        assert slam_sort_grid["auto"] is slam_sort_grid["numpy"]
+        auto = "native" if NATIVE_AVAILABLE else "numpy"
+        assert slam_bucket_grid["auto"] is slam_bucket_grid[auto]
 
     def test_unknown_engine_raises_valueerror_via_api(self, small_xy):
         from repro import compute_kdv
