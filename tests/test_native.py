@@ -12,8 +12,8 @@ Two availability regimes, both first-class:
   the engine bit-identical to the ``numpy`` block engine (and hence to the
   per-row ``slam_bucket_row_numpy`` oracle) across kernels, weights,
   thread counts, and RAO orientations; every default path reaches the C
-  loop; and the build cache is keyed, atomic and compiler-free when warm.
-  Skip-marked only where no compiler is available.
+  loop with the same bits; and the build cache is keyed, atomic and
+  compiler-free when warm.  Skip-marked where the extension did not load.
 
 The shm transport tests exercise the tentpole's second layer end to end:
 <1 KB of TCP per shard, bit-identical grids, pickle parity, runtime
@@ -89,21 +89,25 @@ def _sweep_args(xy, bandwidth=9.0, width=64, height=48, region=(100.0, 80.0)):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def fallback(monkeypatch):
-    """The engine registry as :mod:`repro.core.engines` builds it where the
-    extension did not load (pinned to the real thing by
+def _fall_back(mp: pytest.MonkeyPatch) -> None:
+    """Shape the engine registry as :mod:`repro.core.engines` builds it
+    where the extension did not load (pinned to the real thing by
     ``test_build_native_0_falls_back_to_the_same_bits``)."""
     import repro.core.engines as engines_mod
     import repro.core.native as native_mod
 
-    monkeypatch.setattr(native_mod, "NATIVE_AVAILABLE", False)
-    monkeypatch.setattr(native_mod, "NATIVE_ERROR", "REPRO_BUILD_NATIVE=0")
-    monkeypatch.setattr(engines_mod, "NATIVE_AVAILABLE", False)
-    monkeypatch.delitem(engines_mod.ENGINES, engines_mod.NATIVE, raising=False)
+    mp.setattr(native_mod, "NATIVE_AVAILABLE", False)
+    mp.setattr(native_mod, "NATIVE_ERROR", "REPRO_BUILD_NATIVE=0")
+    mp.setattr(engines_mod, "NATIVE_AVAILABLE", False)
+    mp.delitem(engines_mod.ENGINES, engines_mod.NATIVE, raising=False)
     table = engines_mod.slam_bucket_grid
-    monkeypatch.delitem(table, "native", raising=False)
-    monkeypatch.setitem(table, "auto", table["numpy"])
+    mp.delitem(table, "native", raising=False)
+    mp.setitem(table, "auto", table["numpy"])
+
+
+@pytest.fixture
+def fallback(monkeypatch):
+    _fall_back(monkeypatch)
 
 
 class TestAvailability:
@@ -432,15 +436,24 @@ def test_unusable_compiler_falls_back_quietly(env, tmp_path):
     assert _cache_files(cache) == []  # no partial build
 
 
+def test_unwritable_cache_falls_back_quietly(tmp_path):
+    blocker = tmp_path / "cache"
+    blocker.write_text("")  # a file where the cache directory belongs
+    report = _report(blocker)
+    assert report["available"] is False
+    assert "Error" in report["error"]
+    assert report["auto_is_numpy"]
+
+
 # ---------------------------------------------------------------------------
 # Every default path reaches the C loop
 # ---------------------------------------------------------------------------
 
 
 def _default_path_cases():
-    """``name -> (setup, action)``: ``action(setup())`` must sweep through
-    the default engine; ``setup`` work (index builds, seeding a service)
-    is not counted."""
+    """``name -> (setup, action)``: ``action(setup(xy, tmp))`` sweeps through
+    the default engine and returns what it rendered; the work of ``setup``
+    (seeding a service, building a stream) is not counted."""
     from repro.extensions.multiband import compute_multiband
     from repro.extensions.streaming import StreamingKDV
     from repro.serve.quality import coreset_grid, pyramid_grid
@@ -456,69 +469,77 @@ def _default_path_cases():
         return TileService(PointSet(xy, t=t), tile_size=32, bandwidth=9.0,
                            max_zoom=2, **kw)
 
-    def cli(xy, tmp):
-        csv = tmp / "pts.csv"
-        save_csv(PointSet(xy), csv)
-        return ["compute", str(csv), "-o", str(tmp / "o.ppm"), "--size",
-                "32x24", "--bandwidth", "9"]
+    def tile(svc, **kw):
+        try:
+            return svc.get_tile(1, 0, 0, **kw)
+        finally:
+            svc.close()
 
-    def closing(fn):
-        def run(svc):
-            try:
-                fn(svc)
-            finally:
-                svc.close()
-        return run
+    def insert(args):
+        stream, xy = args
+        stream.insert(xy)
+        return stream.grid
+
+    def cli_args(xy, tmp):
+        save_csv(PointSet(xy), tmp / "pts.csv")
+        return ["compute", str(tmp / "pts.csv"), "-o", str(tmp / "o.ppm"),
+                "--size", "32x24", "--bandwidth", "9"]
+
+    def cli(argv):
+        assert cli_main(argv) == 0
+        return np.frombuffer(Path(argv[3]).read_bytes(), dtype=np.uint8)
+
+    def data(xy, tmp):
+        return xy
 
     return {
         "compute_kdv": (
-            lambda xy, tmp: xy,
-            lambda xy: compute_kdv(xy, size=size, bandwidth=9.0),
+            data, lambda xy: compute_kdv(xy, size=size, bandwidth=9.0).grid,
         ),
         "render_tile": (
-            lambda xy, tmp: xy,
+            data,
             lambda xy: render_tile(xy, TileScheme.for_points(xy), 1, 0, 0,
                                    tile_size=32, bandwidth=9.0),
         ),
-        "TileService": (
-            lambda xy, tmp: service(xy),
-            closing(lambda svc: svc.get_tile(1, 0, 0)),
-        ),
+        "TileService": (lambda xy, tmp: service(xy), tile),
         "window_tile": (
             lambda xy, tmp: service(xy, window_s=50.0),
-            closing(lambda svc: svc.get_tile(1, 0, 0, window=50.0)),
+            lambda svc: tile(svc, window=50.0),
         ),
         "StreamingKDV.insert": (
             lambda xy, tmp: (StreamingKDV(region, size=size, bandwidth=9.0), xy),
-            lambda args: args[0].insert(args[1]),
+            insert,
         ),
         "pyramid_grid": (
-            lambda xy, tmp: xy,
+            data,
             lambda xy: pyramid_grid(xy, region, size, level=1, bandwidth=9.0),
         ),
         "coreset_grid": (
-            lambda xy, tmp: xy,
+            data,
             lambda xy: coreset_grid(xy, region, size, sample_size=500,
                                     bandwidth=9.0),
         ),
         "ExplorationSession.render": (
             lambda xy, tmp: ExplorationSession(PointSet(xy), size=size,
-                                           bandwidth=9.0),
-            lambda session: session.render(),
+                                               bandwidth=9.0),
+            lambda session: session.render().grid,
         ),
         "compute_multiband": (
-            lambda xy, tmp: xy,
-            lambda xy: compute_multiband(xy, [5.0, 9.0], size=size),
+            data,
+            lambda xy: np.stack([
+                r.grid for r in compute_multiband(xy, [5.0, 9.0], size=size)
+            ]),
         ),
-        "repro compute": (cli, lambda argv: cli_main(argv)),
+        "repro compute": (cli_args, cli),
     }
 
 
 @needs_native
 @pytest.mark.parametrize("path", list(_default_path_cases()))
 def test_default_path_runs_the_c_loop(path, cluster_xy, tmp_path, monkeypatch):
+    """Each default path calls the C loop, and renders the same bits as
+    where the extension did not load (``auto`` = the numpy block engine)."""
     setup, action = _default_path_cases()[path]
-    state = setup(cluster_xy, tmp_path)
     calls = []
     real = NativeEngine.sweep_block
 
@@ -527,8 +548,17 @@ def test_default_path_runs_the_c_loop(path, cluster_xy, tmp_path, monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(NativeEngine, "sweep_block", spy)
-    action(state)
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "auto").mkdir()
+    with pytest.MonkeyPatch.context() as mp:
+        _fall_back(mp)
+        ref = action(setup(cluster_xy, tmp_path / "numpy"))
+    assert not calls
+    state = setup(cluster_xy, tmp_path / "auto")
+    calls.clear()
+    got = action(state)
     assert calls, f"{path} never called NativeEngine.sweep_block"
+    assert np.array_equal(got, ref)
 
 
 @needs_native
