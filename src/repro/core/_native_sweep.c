@@ -21,10 +21,13 @@
  *    in which bincount accumulates its weights;
  *  - the extension must be compiled with -ffp-contract=off so the compiler
  *    cannot fuse a*b+c into an FMA (which rounds differently);
- *  - C's sqrt/ceil/floor are IEEE-754 correctly rounded, matching NumPy's,
- *    and the float->int64 conversion matches NumPy's astype (both lower to
- *    the same truncating conversion).  The SIMD forms of all of these are
- *    correctly rounded too, so auto-vectorization cannot change a bit.
+ *  - C's division and sqrt are IEEE-754 correctly rounded, matching NumPy's,
+ *    in scalar and SIMD form alike, so auto-vectorization cannot change a
+ *    bit;
+ *  - NumPy's ceil/floor followed by astype(int64) is done here as one
+ *    truncating float->int64 conversion (the instruction astype lowers to)
+ *    plus one compare against the quotient -- the same integer for every
+ *    input once the index is clamped (see tile_indices).
  *
  * The module is optional: repro.core.native compiles it on first import
  * and degrades to the bit-identical numpy engine when the build or the load
@@ -129,22 +132,36 @@ typedef struct {
 } sweep_ctx;
 
 /* Pairs are processed in cache-sized tiles through two phases: a branchless
- * index phase that the compiler can auto-vectorize (all the divisions,
- * sqrt, ceil/floor, and float->int casts -- correctly rounded in both
- * scalar and SIMD form, so vectorization cannot change a bit), then a
- * scalar scatter phase that accumulates the live channels into the
- * enter/leave difference rows.  Ascending pair order is preserved, which
- * the bit-identity contract requires (bincount accumulates in input
- * order). */
+ * index phase (tile_indices), then a scalar scatter phase that accumulates
+ * the live channels into the enter/leave difference rows.  Ascending pair
+ * order is preserved, which the bit-identity contract requires (bincount
+ * accumulates in input order). */
 #define TILE 512
 
 /* Phase one: bucket indices + the cached v^2 for a tile of pairs.  This is
- * a transcription of repro.core.bounds.bucket_indices, split into an
- * all-FP sub-loop over contiguous inputs (divisions, sqrt, ceil/floor --
- * the compiler vectorizes it) and a scalar index sub-loop for the casts,
- * clamps, and one-step corrections.  The corrections are written
- * branch-free in the reference's own masked form (`(e < X) &
- * (xs[min(e, X-1)] < lb)`), applied sequentially on the updated index. */
+ * a transcription of repro.core.bounds.bucket_indices in two sub-loops that
+ * gcc auto-vectorizes -- the first on any x86-64 target, the second where
+ * SIMD converts between double and int64 (AVX-512DQ).  docs/native.md gives
+ * the command that shows it; tests/test_native.py checks the first:
+ *
+ *  - a floating-point sub-loop over contiguous inputs: the divisions, the
+ *    sqrt and the raw bucket quotients (lb - x0) / gx and (ub - x0) / gx.
+ *    It calls no ceil/floor, which would keep it scalar;
+ *  - an integer sub-loop that rounds each quotient d with a truncating
+ *    cast plus one compare -- ceil is `e = (int64_t)d; e += (double)e < d`,
+ *    floor is `f = (int64_t)d; f -= (double)f > d` -- then clamps, and
+ *    applies the one-step corrections, written branch-free in the
+ *    reference's own masked form (`(e < X) & (xs[min(e, X-1)] < lb)`) and
+ *    applied sequentially on the updated index.
+ *
+ * After the clamp the rounding equals (int64_t)ceil(d) / (int64_t)floor(d)
+ * for every d.  Where d is in int64 range the two are the same integer.
+ * Beyond it (|d| >= 2^63, inf, NaN) both convert an out-of-range value and
+ * land on the same side of the clamp: x86's conversion gives INT64_MIN,
+ * which the one-step adjustment and the +1 leave negative (the floor side
+ * runs in uint64_t, so it may wrap through INT64_MAX back to INT64_MIN
+ * without a signed overflow); a saturating conversion's INT64_MAX is never
+ * incremented (the `e != INT64_MAX` term). */
 static void
 tile_indices(const sweep_ctx *ctx, double k, Py_ssize_t t0, Py_ssize_t m,
              int64_t *eidx, int64_t *lidx, double *vsq)
@@ -155,6 +172,7 @@ tile_indices(const sweep_ctx *ctx, double k, Py_ssize_t t0, Py_ssize_t m,
     const double *py = ctx->point_y + t0;
     const double *pu = ctx->point_u + t0;
     double lbv[TILE], ubv[TILE], efv[TILE], lfv[TILE];
+    /* vectorized: the floating-point sub-loop (see tests/test_native.py) */
     for (Py_ssize_t q = 0; q < m; q++) {
         double v = (py[q] - k) / bw;
         double v2 = v * v;
@@ -167,17 +185,21 @@ tile_indices(const sweep_ctx *ctx, double k, Py_ssize_t t0, Py_ssize_t m,
         vsq[q] = v2;
         lbv[q] = lb;
         ubv[q] = ub;
-        efv[q] = ceil((lb - x0) / gx);
-        lfv[q] = floor((ub - x0) / gx);
+        efv[q] = (lb - x0) / gx;
+        lfv[q] = (ub - x0) / gx;
     }
+    /* the integer sub-loop (vectorized with AVX-512DQ) */
     for (Py_ssize_t q = 0; q < m; q++) {
         double lb = lbv[q], ub = ubv[q];
-        int64_t e = (int64_t)efv[q];
+        double ed = efv[q], ld = lfv[q];
+        int64_t e = (int64_t)ed;
+        e += (int64_t)(((double)e < ed) & (e != INT64_MAX));
         e = e < 0 ? 0 : (e > X ? X : e);
         e += (int64_t)((e < X) & (xs[e < X ? e : X - 1] < lb));
         e -= (int64_t)((e > 0) & (xs[e > 0 ? e - 1 : 0] >= lb));
         eidx[q] = e;
-        int64_t l = (int64_t)((uint64_t)(int64_t)lfv[q] + 1);
+        int64_t f = (int64_t)ld;
+        int64_t l = (int64_t)((uint64_t)f - (uint64_t)((double)f > ld) + 1);
         l = l < 0 ? 0 : (l > X ? X : l);
         l += (int64_t)((l < X) & (xs[l < X ? l : X - 1] <= ub));
         l -= (int64_t)((l > 0) & (xs[l > 0 ? l - 1 : 0] > ub));

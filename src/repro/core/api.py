@@ -41,7 +41,7 @@ from ..baselines.quad import quad_grid
 from ..baselines.rqs import rqs_ball_grid, rqs_kd_grid, rqs_rtree_grid
 from ..baselines.scan import scan_grid
 from ..baselines.zorder import zorder_grid
-from ..data.points import PointSet
+from ..data.points import PointSet, _as_xy
 from ..obs import Recorder, active
 from ..viz.bandwidth import BANDWIDTH_SELECTORS, resolve_bandwidth
 from ..viz.region import Raster, Region
@@ -150,7 +150,8 @@ def compute_kdv(
     Parameters
     ----------
     points:
-        A :class:`~repro.data.points.PointSet` or an ``(n, 2)`` array.
+        A :class:`~repro.data.points.PointSet` or an ``(n, 2)`` array of
+        finite coordinates (NaN or ±inf raises ``ValueError``).
     region:
         World-coordinate rectangle to render; defaults to the dataset MBR.
     size:
@@ -235,9 +236,8 @@ def compute_kdv(
         if weights is None and points.w is not None:
             weights = points.w
     else:
-        xy = np.asarray(points, dtype=np.float64)
-        if xy.ndim != 2 or xy.shape[1] != 2:
-            raise ValueError(f"expected (n, 2) coordinates, got shape {xy.shape}")
+        # shape and finiteness; a PointSet checked both when it was built
+        xy = _as_xy(points)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; available: {method_names()}")
     if normalization not in _NORMALIZATIONS:
@@ -342,11 +342,13 @@ def compute_kdv(
             xy, raster, kernel_obj, bandwidth_value, engine=engine, **method_kwargs
         )
 
+    # In place: every method returns a fresh float64 grid
+    # (tests/test_api.py pins that), so no second grid is allocated.
     total_mass = float(weights.sum()) if weights is not None else float(n)
     if normalization == "count" and total_mass > 0:
-        grid = grid / total_mass
+        grid /= total_mass
     elif normalization == "density" and total_mass > 0:
-        grid = grid * (kernel_obj.normalizer(bandwidth_value) / total_mass)
+        grid *= kernel_obj.normalizer(bandwidth_value) / total_mass
 
     stats = None
     if sweep_stats:

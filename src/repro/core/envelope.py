@@ -47,6 +47,42 @@ def envelope_scan(xy: np.ndarray, k: float, bandwidth: float) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
+#: the largest n whose composite keys ``run * n + index`` (< n**2) fit int64
+_MAX_KEYED_N = 3_037_000_499
+
+
+def _stable_argsort(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")``, computed with numpy's faster
+    default sort.
+
+    The default argsort (SIMD where the CPU has it) orders equal values
+    arbitrarily.  When any two adjacent sorted values are equal, their runs
+    are numbered with a ``cumsum`` and the unique composite keys
+    ``run * n + index`` are sorted, which orders every run by original
+    index: the stable permutation, whatever sort ran.  NaNs (which compare
+    unequal to each other, so no run holds them) and an ``n`` whose ``n**2``
+    overflows int64 take the stable sort itself.
+    """
+    n = len(values)
+    order = np.argsort(values)
+    if n < 2:
+        return order
+    ranked = np.take(values, order)
+    if np.isnan(ranked[-1]) or n > _MAX_KEYED_N:  # NaN sorts last
+        return np.argsort(values, kind="stable")
+    ties = ranked[1:] == ranked[:-1]
+    if not ties.any():
+        return order
+    keys = np.empty(n, dtype=np.int64)
+    keys[0] = 0
+    np.cumsum(~ties, out=keys[1:])
+    keys *= n
+    keys += order
+    keys.sort()
+    keys %= n
+    return keys
+
+
 class YSortedIndex:
     """Points sorted by y coordinate for fast envelope slicing.
 
@@ -57,9 +93,9 @@ class YSortedIndex:
         xy = np.asarray(xy, dtype=np.float64)
         #: the original-order coordinates the index was built over
         self.xy = xy
-        order = np.argsort(xy[:, 1], kind="stable")
+        order = _stable_argsort(xy[:, 1])
         #: points re-ordered by ascending y, shape (n, 2)
-        self.sorted_xy = xy[order]
+        self.sorted_xy = np.take(xy, order, axis=0)
         #: the ascending y view used for the binary searches
         self.sorted_y = self.sorted_xy[:, 1]
         #: original dataset index of each sorted position

@@ -89,26 +89,33 @@ def _cache_path(source: bytes) -> Path:
     return Path(base, "repro", f"_native_sweep-{key.hexdigest()[:16]}{suffix}")
 
 
-def _compile(target: Path) -> None:
-    """Compile :data:`_SOURCE` into ``target``: the only code that starts a
-    compiler, run on a cache miss.  ``$CC`` replaces the interpreter's
+def _compile_argv(*flags: str, output: str) -> list[str]:
+    """The command that builds :data:`_SOURCE` into ``output`` with
+    :data:`_FLAGS` plus ``flags``.  ``$CC`` replaces the interpreter's
     configured compiler, as in setuptools."""
     import shlex
-    import subprocess
-    import tempfile
 
     cc = sysconfig.get_config_var("CC") or "cc"
     command = sysconfig.get_config_var("LDSHARED") or f"{cc} -shared"
     if os.environ.get("CC") and command.startswith(cc):
         command = os.environ["CC"] + command[len(cc):]
     include = sysconfig.get_paths()["include"]
+    return [*shlex.split(command), *_FLAGS, *flags, f"-I{include}",
+            str(_SOURCE), "-o", output]
+
+
+def _compile(target: Path) -> None:
+    """Compile :data:`_SOURCE` into ``target``: the only code that starts a
+    compiler, run on a cache miss."""
+    import subprocess
+    import tempfile
+
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", dir=target.parent)
     os.close(fd)
     try:
         for openmp in (_OPENMP, ()):
-            argv = [*shlex.split(command), *_FLAGS, *openmp, f"-I{include}",
-                    str(_SOURCE), "-o", tmp]
+            argv = _compile_argv(*openmp, output=tmp)
             done = subprocess.run(argv, capture_output=True, text=True)
             if done.returncode == 0:
                 os.replace(tmp, target)

@@ -19,7 +19,7 @@ __all__ = ["PointSet"]
 def _as_xy(xy: np.ndarray) -> np.ndarray:
     arr = np.asarray(xy, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected an (n, 2) coordinate array, got shape {arr.shape}")
+        raise ValueError(f"expected (n, 2) coordinates, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("point coordinates must be finite")
     return arr

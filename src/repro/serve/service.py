@@ -270,14 +270,12 @@ class TileService:
         executor=None,
         coordinator=None,
     ):
-        from ..data.points import PointSet
+        from ..data.points import PointSet, _as_xy
 
         if isinstance(points, PointSet):
             xy, seed_t = points.xy, points.t
         else:
-            xy, seed_t = np.asarray(points, float), None
-        if xy.ndim != 2 or xy.shape[1] != 2:
-            raise ValueError(f"expected (n, 2) coordinates, got shape {xy.shape}")
+            xy, seed_t = _as_xy(points), None
         if len(xy) == 0:
             raise ValueError("cannot serve tiles for an empty dataset")
         if tile_size < 1:

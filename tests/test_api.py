@@ -9,10 +9,13 @@ from repro import (
     APPROXIMATE_METHODS,
     EXACT_METHODS,
     KDVResult,
+    Raster,
     Region,
     compute_kdv,
     method_names,
 )
+from repro.core.api import METHODS
+from repro.core.kernels import get_kernel
 from repro.viz.bandwidth import scott_bandwidth
 
 
@@ -113,6 +116,22 @@ class TestComputeKDV:
         res = compute_kdv(small_xy, size=(12, 9), bandwidth=15.0, method=method)
         assert res.shape == (9, 12)
         assert res.grid.max() > 0
+
+    @pytest.mark.parametrize("method", method_names())
+    def test_every_method_returns_a_fresh_float64_grid(self, method, small_xy):
+        """compute_kdv normalizes the method's grid in place, so every
+        METHODS entry must return a writable float64 array of its own,
+        sharing memory with neither its input nor another call's grid."""
+        grid_fn, _ = METHODS[method]
+        raster = Raster(Region.from_points(small_xy), 12, 9)
+        kernel = get_kernel("epanechnikov")
+        first = grid_fn(small_xy, raster, kernel, 15.0)
+        second = grid_fn(small_xy, raster, kernel, 15.0)
+        for grid in (first, second):
+            assert grid.dtype == np.float64 and grid.shape == (9, 12)
+            assert grid.flags.writeable
+            assert not np.shares_memory(grid, small_xy)
+        assert not np.shares_memory(first, second)
 
     def test_all_exact_methods_agree(self, small_xy):
         grids = {
@@ -268,6 +287,19 @@ class TestErrorPaths:
                           size=(4, 4), bandwidth=1.0,
                           weights=np.empty(0))
         assert np.all(res.grid == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1], ids=("x", "y"))
+    @pytest.mark.parametrize("region", [None, Region(0, 0, 100, 80)],
+                             ids=("mbr", "region"))
+    def test_nonfinite_coordinates_rejected(self, small_xy, bad, column, region):
+        """A raw array gets the same coordinate check as a PointSet: one
+        NaN x used to turn a fifth of the grid into NaN (or, without a
+        region, fail as a degenerate region)."""
+        xy = small_xy.copy()
+        xy[7, column] = bad
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            compute_kdv(xy, region=region, size=(8, 8), bandwidth=5.0)
 
     def test_empty_dataset_normalizations(self):
         for normalization in ("none", "count", "density"):

@@ -32,7 +32,7 @@ from repro.core.bounds import bucket_indices
 from repro.core.engines import slam_bucket_grid
 from repro.core.envelope import YSortedIndex
 from repro.core.kernels import get_kernel
-from repro.core.native import NATIVE_AVAILABLE, native_grid
+from repro.core.native import NATIVE_AVAILABLE, NativeEngine, native_grid
 from repro.core.parallel import BACKENDS
 from repro.core.rao import with_rao
 from repro.core.slam_bucket import slam_bucket_row_numpy
@@ -324,6 +324,70 @@ def test_bucket_indices_match_searchsorted(case):
     enter, leave = bucket_indices(xs, lb, ub)
     np.testing.assert_array_equal(enter, np.searchsorted(xs, lb, "left"))
     np.testing.assert_array_equal(leave, np.searchsorted(xs, ub, "right"))
+
+
+@st.composite
+def _dyadic_row(draw):
+    """One pixel row and points whose interval endpoints land exactly on
+    pixel centres, one ulp either side of one, or 1-1e9 pixel gaps outside
+    the row.  Dyadic pixel centres, a power-of-two bandwidth, a dyadic row
+    and ``cx = 0`` make every scaled coordinate the sweep computes exact:
+    a point at scaled offset ``v`` in {0, +-1} from the row has half-width
+    1 or 0, so its endpoints are ``u - 1``/``u + 1`` or ``u`` itself."""
+    width = draw(st.integers(1, 64))
+    gap = 2.0 ** draw(st.integers(-4, 4))
+    xs = gap * (draw(st.integers(-64, 64)) + np.arange(width, dtype=np.float64))
+    b = 2.0 ** draw(st.integers(-3, 3))
+    k = b * draw(st.integers(-16, 16)) / 4.0
+    centre = st.integers(0, width - 1).map(lambda i: float(xs[i]))
+    point = st.one_of(
+        # an endpoint on a centre: lb (u - 1), ub (u + 1) or both (v = +-1)
+        st.tuples(centre, st.sampled_from(((1.0, 0.0), (-1.0, 0.0),
+                                           (0.0, 1.0), (0.0, -1.0)))).map(
+            lambda t: (t[0] + t[1][0], t[1][1])
+        ),
+        # a zero-width interval one ulp either side of a centre
+        st.tuples(centre, st.sampled_from((-1.0, 1.0)),
+                  st.sampled_from((-1.0, 1.0))).map(
+            lambda t: (float(np.nextafter(t[0], t[1] * np.inf)), t[2])
+        ),
+        # 1 to 1e9 pixel gaps outside either end of the row
+        st.tuples(st.floats(1.0, 1e9), st.booleans(),
+                  st.sampled_from((0.0, 1.0, -1.0))).map(
+            lambda t: (float(xs[0] - t[0] * gap if t[1]
+                             else xs[-1] + t[0] * gap), t[2])
+        ),
+        # anywhere near the row, at any offset inside the envelope
+        st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)).map(
+            lambda t: (float(xs[0] + t[0] * (xs[-1] - xs[0] + gap)), t[1])
+        ),
+    )
+    uv = np.array(draw(st.lists(point, min_size=1, max_size=40)))
+    xy = np.column_stack([uv[:, 0] * b, k + uv[:, 1] * b])
+    weighted = draw(st.booleans())
+    weights = (np.random.default_rng(len(xy)).uniform(0.5, 2.0, len(xy))
+               if weighted else None)
+    return xs, xy, k, b, weights
+
+
+@pytest.mark.skipif(not NATIVE_AVAILABLE, reason="native extension did not load")
+@settings(max_examples=300, deadline=None)
+@given(case=_dyadic_row())
+def test_native_bucket_edges_match_oracle(case):
+    """The C loop's bucket arithmetic (a truncating cast plus one compare,
+    then the clamp and one-step corrections) equals the oracle's on the
+    edges where the arithmetic index is off by one, bit for bit, for every
+    kernel.  The corrections repair a rounding slip of one index, so this
+    pins the rounding and the corrections together."""
+    xs, xy, k, b, weights = case
+    ysorted = YSortedIndex(xy)
+    sorted_weights = None if weights is None else weights[ysorted.order]
+    args = (0, 1, np.array([k]), xs, ysorted, 0.0, b)
+    for kernel_name in KERNEL_NAMES:
+        kernel = get_kernel(kernel_name)
+        expected = ORACLE.sweep_block(*args, kernel, sorted_weights)
+        got = NativeEngine().sweep_block(*args, kernel, sorted_weights)
+        assert got.tobytes() == expected.tobytes(), kernel_name
 
 
 class TestBatchEdgeCases:

@@ -7,7 +7,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import envelope
 from repro.core.envelope import YSortedIndex, envelope_scan
+
+#: coordinates for the tie-heavy alphabets: signed zeros, infinities, NaN
+_SPECIAL = (-np.inf, -1.5, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan)
+
+
+@st.composite
+def _tied_points(draw) -> np.ndarray:
+    """``(n, 2)`` points whose columns draw from tiny alphabets (or, now
+    and then, from a continuous distribution), laid out shuffled, sorted
+    by y, or reversed."""
+    n = draw(st.one_of(st.integers(0, 2), st.integers(3, 3000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(2):
+        alphabet = draw(
+            st.one_of(
+                st.lists(st.sampled_from(_SPECIAL), min_size=1, max_size=4),
+                st.just(None),
+            )
+        )
+        if alphabet is None:
+            columns.append(rng.standard_normal(n))
+        else:
+            columns.append(np.array(alphabet)[rng.integers(0, len(alphabet), n)])
+    xy = np.column_stack(columns)
+    layout = draw(st.sampled_from(("shuffled", "sorted", "reversed")))
+    if layout != "shuffled":
+        xy = xy[np.argsort(xy[:, 1], kind="stable")]
+        if layout == "reversed":
+            xy = xy[::-1].copy()
+    return xy
 
 
 class TestEnvelopeScan:
@@ -80,6 +112,32 @@ class TestYSortedIndex:
         xy = np.array([[float(i), 5.0] for i in range(10)])
         index = YSortedIndex(xy)
         assert len(index.envelope_points(5.0, 0.1)) == 10
+
+    @settings(max_examples=150, deadline=None)
+    @given(xy=_tied_points())
+    def test_order_is_the_stable_argsort(self, xy):
+        """The index's permutation is exactly ``argsort(kind="stable")``
+        (ties in original order) and ``sorted_xy`` is byte-equal to the
+        gather by it, in both orientations: heavy ties from tiny alphabets,
+        signed zeros, infinities, NaN rows, n <= 2, and pre-sorted or
+        reversed input.  City data has no y ties, so only this test runs
+        the tie repair."""
+        index = YSortedIndex(xy)
+        for idx, coords in ((index, xy), (index.transposed(), xy[:, ::-1])):
+            expected = np.argsort(coords[:, 1], kind="stable")
+            np.testing.assert_array_equal(idx.order, expected)
+            assert idx.sorted_xy.tobytes() == coords[expected].tobytes()
+            assert idx.sorted_xy.shape == coords.shape
+
+    def test_overflowing_keys_take_the_stable_sort(self, monkeypatch):
+        """An n whose composite keys would overflow int64 (n**2 > 2**63)
+        sorts with the stable argsort itself; shrinking the limit runs
+        that branch on a small input."""
+        monkeypatch.setattr(envelope, "_MAX_KEYED_N", 3)
+        xy = np.column_stack([np.arange(8.0), [2.0, 1.0, 2.0, 1.0] * 2])
+        np.testing.assert_array_equal(
+            YSortedIndex(xy).order, np.argsort(xy[:, 1], kind="stable")
+        )
 
 
 class TestRowBounds:

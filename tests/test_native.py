@@ -25,6 +25,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -39,6 +40,7 @@ import pytest
 
 from repro import PointSet, Raster, Region, compute_kdv, save_csv
 from repro.cli import build_parser, main as cli_main
+from repro.core import native
 from repro.core.batch import NumpyBatchEngine
 from repro.core.envelope import YSortedIndex
 from repro.core.kernels import get_kernel
@@ -443,6 +445,42 @@ def test_unwritable_cache_falls_back_quietly(tmp_path):
     assert report["available"] is False
     assert "Error" in report["error"]
     assert report["auto_is_numpy"]
+
+
+#: The comment on the line before the loop gcc must vectorize.
+_VECTORIZED_MARKER = "/* vectorized: the floating-point sub-loop"
+
+
+def _compiler_is_gcc() -> bool:
+    compiler = native._compile_argv(output=os.devnull)[0]
+    try:
+        done = subprocess.run([compiler, "--version"], capture_output=True,
+                              text=True, timeout=60)
+    except OSError:
+        return False
+    return done.returncode == 0 and "Free Software Foundation" in done.stdout
+
+
+@pytest.mark.skipif(not _compiler_is_gcc(),
+                    reason="the configured C compiler is not gcc")
+def test_pair_phase_float_loop_is_vectorized(tmp_path):
+    """gcc vectorizes the pair phase's floating-point sub-loop under the
+    build's own flags.  A ceil/floor call in that loop keeps it scalar, so
+    this fails if one comes back."""
+    source = native._SOURCE
+    lines = source.read_text().splitlines()
+    (marker,) = [i for i, line in enumerate(lines, 1)
+                 if _VECTORIZED_MARKER in line]
+    loop = marker + 1
+    assert lines[loop - 1].lstrip().startswith("for ("), lines[loop - 1]
+    argv = native._compile_argv("-fopt-info-vec-optimized",
+                                output=str(tmp_path / "vec.so"))
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = re.compile(
+        rf"{re.escape(source.name)}:{loop}:\d+: optimized: loop vectorized"
+    )
+    assert report.search(done.stderr), done.stderr
 
 
 # ---------------------------------------------------------------------------

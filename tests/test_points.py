@@ -16,7 +16,7 @@ class TestConstruction:
         np.testing.assert_array_equal(ps.y, [2.0, 4.0])
 
     def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError, match="expected an .n, 2."):
+        with pytest.raises(ValueError, match="expected .n, 2."):
             PointSet(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             PointSet(np.zeros(4))

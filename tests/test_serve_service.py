@@ -465,6 +465,16 @@ class TestValidationAndIntrospection:
             with pytest.raises(ValueError):
                 TileService(points, scheme, **kwargs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1], ids=("x", "y"))
+    def test_nonfinite_seed_coordinates_rejected(self, points, scheme, bad,
+                                                 column):
+        """A raw seed array gets the check a PointSet and /ingest get."""
+        xy = points.copy()
+        xy[5, column] = bad
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            TileService(xy, scheme)
+
     def test_default_scheme_covers_points(self, points):
         service = make_service(points, None)
         assert service.scheme.world.contains(points[:, 0], points[:, 1]).all()
