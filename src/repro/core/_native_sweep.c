@@ -27,7 +27,9 @@
  *  - NumPy's ceil/floor followed by astype(int64) is done here as one
  *    truncating float->int64 conversion (the instruction astype lowers to)
  *    plus one compare against the quotient -- the same integer for every
- *    input once the index is clamped (see tile_indices).
+ *    input once the index is clamped (see tile_indices);
+ *  - the reference's one-step corrections are skipped only for pairs where
+ *    they provably change nothing (see fast_threshold).
  *
  * The module is optional: repro.core.native compiles it on first import
  * and degrades to the bit-identical numpy engine when the build or the load
@@ -66,13 +68,13 @@
 #define NLIVE_UNIFORM 1      /* count */
 #define NLIVE_EPANECHNIKOV 3 /* count, A.x, S */
 #define NLIVE_QUARTIC 6      /* count, A.x, S, C.x, Q, M.xx */
-#define NLIVE_MAX 6
 
 /* Difference-row scratch layout: one interleaved block per bucket,
  * [enter channels | pad | leave channels | pad], padded so the prefix loop
  * reads/zeroes each bucket with whole aligned vectors and touches one (or
  * for quartic two adjacent) cache lines per pixel instead of two distant
- * ones.  STRIDE is doubles per bucket, HALF the offset of the leave half. */
+ * ones.  STRIDE is doubles per bucket, HALF the offset of the leave half
+ * (and the width of the scatter's blocks, pad included). */
 #define STRIDE_UNIFORM 2
 #define HALF_UNIFORM 1
 #define STRIDE_EPANECHNIKOV 8
@@ -82,6 +84,7 @@
  * scratch[0:], leave rows at scratch[qoff:], 6 doubles per bucket each
  * (measured faster than a 96/128-byte interleaved stride). */
 #define STRIDE_MAX 16
+#define LANES_MAX 6 /* the widest scatter block: quartic's six channels */
 
 /* searchsorted(sorted_y, key, side="left") over the y column of (x, y)
  * pairs: first index whose y is >= key. */
@@ -129,28 +132,60 @@ typedef struct {
     const double *x2;      /* (X,) precomputed 2.0 * xs[i] */
     double cx;
     double bandwidth;
+    double fast_thr; /* fast-pair margin, see fast_threshold */
 } sweep_ctx;
 
-/* Pairs are processed in cache-sized tiles through two phases: a branchless
- * index phase (tile_indices), then a scalar scatter phase that accumulates
- * the live channels into the enter/leave difference rows.  Ascending pair
- * order is preserved, which the bit-identity contract requires (bincount
+/* Pairs are processed in cache-sized tiles through two phases: an index
+ * phase (tile_indices), then a scatter phase that accumulates the live
+ * channels into the enter/leave difference rows.  Ascending pair order is
+ * preserved, which the bit-identity contract requires (bincount
  * accumulates in input order). */
 #define TILE 512
+
+/* The margin that lets a pair skip the one-step corrections.  Let
+ * phi(x) = (x - x0) / gx, the bucket quotient as the floating-point
+ * sub-loop computes it.  Correctly rounded subtraction, and division by
+ * gx > 0, are monotone, so phi(xs[i]) < phi(lb) implies xs[i] < lb and
+ * phi(xs[i]) > phi(lb) implies xs[i] > lb.  Hence, with
+ * delta = max_i |phi(xs[i]) - i|, a quotient d more than delta from every
+ * integer has phi(xs[i]) < d for each i < d and phi(xs[i]) > d for each
+ * i > d: the clamped ceil(d) and floor(d) + 1 are already the corrected
+ * indices, and the gathers that would check them can be skipped.
+ *
+ * Returns thr = 2 * delta + 1e-12; a pair is fast when the fractional
+ * parts f of both its quotients have thr < |f| < 1 - thr.  Where
+ * delta >= 0.25 (centres far from uniform, which no Raster produces), or
+ * is NaN, or gx <= 0 (phi not increasing), no f passes and every pair
+ * takes the corrections. */
+static double
+fast_threshold(const double *xs, int64_t X, double x0, double gx)
+{
+    double delta = gx > 0.0 ? 0.0 : INFINITY;
+    for (int64_t i = 0; i < X; i++) {
+        double dev = fabs((xs[i] - x0) / gx - (double)i);
+        if (!(dev <= delta)) /* keeps a NaN */
+            delta = dev;
+    }
+    return 2.0 * delta + 1e-12;
+}
 
 /* Phase one: bucket indices + the cached v^2 for a tile of pairs.  This is
  * a transcription of repro.core.bounds.bucket_indices in two sub-loops that
  * gcc auto-vectorizes -- the first on any x86-64 target, the second where
- * SIMD converts between double and int64 (AVX-512DQ).  docs/native.md gives
- * the command that shows it; tests/test_native.py checks the first:
+ * SIMD converts between double and int64 (AVX-512DQ) -- plus a scalar pass
+ * that runs only in a tile holding a slow pair.  docs/native.md gives the
+ * command that shows it; tests/test_native.py checks both sub-loops:
  *
  *  - a floating-point sub-loop over contiguous inputs: the divisions, the
  *    sqrt and the raw bucket quotients (lb - x0) / gx and (ub - x0) / gx.
  *    It calls no ceil/floor, which would keep it scalar;
- *  - an integer sub-loop that rounds each quotient d with a truncating
+ *  - a rounding sub-loop that rounds each quotient d with a truncating
  *    cast plus one compare -- ceil is `e = (int64_t)d; e += (double)e < d`,
- *    floor is `f = (int64_t)d; f -= (double)f > d` -- then clamps, and
- *    applies the one-step corrections, written branch-free in the
+ *    floor is `f = (int64_t)d; f -= (double)f > d` -- and clamps.  It also
+ *    takes each fractional part d - (double)(int64_t)d, exact wherever
+ *    the cast is, and flags the pair slow unless both clear the margin of
+ *    fast_threshold;
+ *  - for the slow pairs only, the one-step corrections, written in the
  *    reference's own masked form (`(e < X) & (xs[min(e, X-1)] < lb)`) and
  *    applied sequentially on the updated index.
  *
@@ -161,7 +196,9 @@ typedef struct {
  * which the one-step adjustment and the +1 leave negative (the floor side
  * runs in uint64_t, so it may wrap through INT64_MAX back to INT64_MIN
  * without a signed overflow); a saturating conversion's INT64_MAX is never
- * incremented (the `e != INT64_MAX` term). */
+ * incremented (the `e != INT64_MAX` term).  None of those pairs is fast:
+ * |d| >= 2^52 is a whole number, and an out-of-range conversion leaves a
+ * fractional part that is NaN, infinite or a multiple of 2^11. */
 static void
 tile_indices(const sweep_ctx *ctx, double k, Py_ssize_t t0, Py_ssize_t m,
              int64_t *eidx, int64_t *lidx, double *vsq)
@@ -169,9 +206,11 @@ tile_indices(const sweep_ctx *ctx, double k, Py_ssize_t t0, Py_ssize_t m,
     const double *xs = ctx->xs;
     const int64_t X = ctx->num_pixels;
     const double x0 = ctx->x0, gx = ctx->gx, bw = ctx->bandwidth;
+    const double thr = ctx->fast_thr, top = 1.0 - thr;
     const double *py = ctx->point_y + t0;
     const double *pu = ctx->point_u + t0;
     double lbv[TILE], ubv[TILE], efv[TILE], lfv[TILE];
+    int64_t slow[TILE];
     /* vectorized: the floating-point sub-loop (see tests/test_native.py) */
     for (Py_ssize_t q = 0; q < m; q++) {
         double v = (py[q] - k) / bw;
@@ -188,39 +227,83 @@ tile_indices(const sweep_ctx *ctx, double k, Py_ssize_t t0, Py_ssize_t m,
         efv[q] = (lb - x0) / gx;
         lfv[q] = (ub - x0) / gx;
     }
-    /* the integer sub-loop (vectorized with AVX-512DQ) */
+    int64_t nslow = 0;
+    /* vectorized with AVX-512DQ: the rounding sub-loop */
     for (Py_ssize_t q = 0; q < m; q++) {
-        double lb = lbv[q], ub = ubv[q];
         double ed = efv[q], ld = lfv[q];
         int64_t e = (int64_t)ed;
+        double ef = fabs(ed - (double)e);
         e += (int64_t)(((double)e < ed) & (e != INT64_MAX));
-        e = e < 0 ? 0 : (e > X ? X : e);
+        eidx[q] = e < 0 ? 0 : (e > X ? X : e);
+        int64_t f = (int64_t)ld;
+        double lf = fabs(ld - (double)f);
+        int64_t l = (int64_t)((uint64_t)f - (uint64_t)((double)f > ld) + 1);
+        lidx[q] = l < 0 ? 0 : (l > X ? X : l);
+        int64_t s = !((ef > thr) & (ef < top) & (lf > thr) & (lf < top));
+        slow[q] = s;
+        nslow += s;
+    }
+    if (nslow == 0)
+        return;
+    for (Py_ssize_t q = 0; q < m; q++) {
+        if (!slow[q])
+            continue;
+        double lb = lbv[q], ub = ubv[q];
+        int64_t e = eidx[q];
         e += (int64_t)((e < X) & (xs[e < X ? e : X - 1] < lb));
         e -= (int64_t)((e > 0) & (xs[e > 0 ? e - 1 : 0] >= lb));
         eidx[q] = e;
-        int64_t f = (int64_t)ld;
-        int64_t l = (int64_t)((uint64_t)f - (uint64_t)((double)f > ld) + 1);
-        l = l < 0 ? 0 : (l > X ? X : l);
+        int64_t l = lidx[q];
         l += (int64_t)((l < X) & (xs[l < X ? l : X - 1] <= ub));
         l -= (int64_t)((l > 0) & (xs[l > 0 ? l - 1 : 0] > ub));
         lidx[q] = l;
     }
 }
 
-/* Phase two: scatter one pair's live channels into the difference rows.
- * `half` is the offset of the leave half within the bucket's block (for
- * the interleaved layouts) or within the scratch (for the split quartic
- * layout, which passes precomputed base pointers). */
-#define SCATTER(stride, half, nlive, CHANNELS)                                \
+/* Phase two: scatter one pair's channels into the difference rows as two
+ * whole blocks of `lanes` doubles, the enter block of bucket eidx[q] and
+ * the leave block of bucket lidx[q]: load both into temporaries, run
+ * CHANNELS (which fills ch[0..lanes)), add, store both.  The blocks never
+ * overlap (they sit in different halves of a bucket's block, or of the
+ * scratch), so each lane gets the same IEEE add as a per-channel `+=`, in
+ * the same per-bucket order.  `half` is the offset of the leave half
+ * within the bucket's block (for the interleaved layouts) or within the
+ * scratch (for the split quartic layout, which passes precomputed base
+ * pointers).
+ *
+ * gcc's SLP vectorizer turns each block into vector loads, adds and
+ * stores (Epanechnikov's 4 lanes as one, quartic's 6 as 4 + 2).  It needs
+ * every lane's add in the same operand order, and gcc orders the operands
+ * of a commutative add by when their values were defined.  So the block
+ * loads come first, written out lane by lane (LOAD_LANES; `lanes` is 1, 4
+ * or 6) because a loop's loads would be defined when the loop is
+ * unrolled, and CHANNELS loads the pair's own inputs after them. */
+#define LOAD_LANES(t, p, lanes)                                               \
     do {                                                                      \
-        double ch[NLIVE_MAX];                                                 \
-        CHANNELS;                                                             \
+        t[0] = p[0];                                                          \
+        if ((lanes) > 1) {                                                    \
+            t[1] = p[1];                                                      \
+            t[2] = p[2];                                                      \
+            t[3] = p[3];                                                      \
+        }                                                                     \
+        if ((lanes) > 4) {                                                    \
+            t[4] = p[4];                                                      \
+            t[5] = p[5];                                                      \
+        }                                                                     \
+    } while (0)
+
+#define SCATTER(stride, half, lanes, CHANNELS)                                \
+    do {                                                                      \
         double *ap = scratch + eidx[q] * (stride);                            \
         double *sp = scratch + lidx[q] * (stride) + (half);                   \
-        for (int c = 0; c < (nlive); c++) {                                   \
-            ap[c] += ch[c];                                                   \
-            sp[c] += ch[c];                                                   \
-        }                                                                     \
+        double a[LANES_MAX], s[LANES_MAX], ch[LANES_MAX];                     \
+        LOAD_LANES(a, ap, lanes);                                             \
+        LOAD_LANES(s, sp, lanes);                                             \
+        CHANNELS;                                                             \
+        for (int c = 0; c < (lanes); c++)                                     \
+            ap[c] = a[c] + ch[c];                                             \
+        for (int c = 0; c < (lanes); c++)                                     \
+            sp[c] = s[c] + ch[c];                                             \
     } while (0)
 
 /* Tile loop shared by the row functions: PAIRS is the phase-two body run
@@ -292,14 +375,15 @@ row_epanechnikov(const sweep_ctx *ctx, double k, Py_ssize_t lo, Py_ssize_t hi,
         FOR_TILES({
             for (Py_ssize_t q = 0; q < m; q++) {
                 Py_ssize_t p = t0 + q;
-                double u = ctx->point_u[p];
-                double v2 = vsq[q];
                 SCATTER(STRIDE_EPANECHNIKOV, HALF_EPANECHNIKOV,
-                        NLIVE_EPANECHNIKOV, {
+                        HALF_EPANECHNIKOV, {
+                    double u = ctx->point_u[p];
+                    double v2 = vsq[q];
                     double u2 = u * u;
                     ch[0] = 1.0;
                     ch[1] = u;
                     ch[2] = u2 + v2;
+                    ch[3] = 0.0; /* the pad */
                 });
             }
         });
@@ -307,15 +391,16 @@ row_epanechnikov(const sweep_ctx *ctx, double k, Py_ssize_t lo, Py_ssize_t hi,
         FOR_TILES({
             for (Py_ssize_t q = 0; q < m; q++) {
                 Py_ssize_t p = t0 + q;
-                double u = ctx->point_u[p];
-                double v2 = vsq[q];
                 SCATTER(STRIDE_EPANECHNIKOV, HALF_EPANECHNIKOV,
-                        NLIVE_EPANECHNIKOV, {
+                        HALF_EPANECHNIKOV, {
+                    double u = ctx->point_u[p];
+                    double v2 = vsq[q];
                     double w = ctx->weights[p];
                     double u2 = u * u;
                     ch[0] = w;
                     ch[1] = u * w;
                     ch[2] = (u2 + v2) * w;
+                    ch[3] = 0.0; /* the pad */
                 });
             }
         });
@@ -354,9 +439,9 @@ row_quartic(const sweep_ctx *ctx, double k, Py_ssize_t lo, Py_ssize_t hi,
         FOR_TILES({
             for (Py_ssize_t q = 0; q < m; q++) {
                 Py_ssize_t p = t0 + q;
-                double u = ctx->point_u[p];
-                double v2 = vsq[q];
                 SCATTER(NLIVE_QUARTIC, qoff, NLIVE_QUARTIC, {
+                    double u = ctx->point_u[p];
+                    double v2 = vsq[q];
                     double u2 = u * u;
                     double s = u2 + v2;
                     ch[0] = 1.0;
@@ -372,9 +457,9 @@ row_quartic(const sweep_ctx *ctx, double k, Py_ssize_t lo, Py_ssize_t hi,
         FOR_TILES({
             for (Py_ssize_t q = 0; q < m; q++) {
                 Py_ssize_t p = t0 + q;
-                double u = ctx->point_u[p];
-                double v2 = vsq[q];
                 SCATTER(NLIVE_QUARTIC, qoff, NLIVE_QUARTIC, {
+                    double u = ctx->point_u[p];
+                    double v2 = vsq[q];
                     double w = ctx->weights[p];
                     double u2 = u * u;
                     double s = u2 + v2;
@@ -458,8 +543,9 @@ process_row(const sweep_ctx *ctx, int kernel_id, double k, double *out_row,
     }
 }
 
-/* Returns 0 on success, -1 on scratch allocation failure. */
-static int
+/* Returns 0 on success, else the size in bytes of the allocation that
+ * failed. */
+static size_t
 sweep_impl(double *out, const double *ks, Py_ssize_t num_rows,
            sweep_ctx *ctx, int kernel_id, int threads)
 {
@@ -476,10 +562,11 @@ sweep_impl(double *out, const double *ks, Py_ssize_t num_rows,
      * The y column is deinterleaved alongside it so the hot tile loop
      * reads contiguous (vectorizable) streams. */
     size_t ncap = (size_t)(ctx->n > 0 ? ctx->n : 1);
-    double *pu = malloc((2 * ncap + 2 * (size_t)ctx->num_pixels)
-                        * sizeof(double));
+    size_t pu_bytes =
+        (2 * ncap + 2 * (size_t)ctx->num_pixels) * sizeof(double);
+    double *pu = malloc(pu_bytes);
     if (pu == NULL)
-        return -1;
+        return pu_bytes;
     double *py = pu + ncap;
     for (Py_ssize_t p = 0; p < ctx->n; p++) {
         pu[p] = (ctx->xy[2 * p] - ctx->cx) / ctx->bandwidth;
@@ -498,6 +585,7 @@ sweep_impl(double *out, const double *ks, Py_ssize_t num_rows,
     }
     ctx->xs2 = xs2;
     ctx->x2 = x2;
+    ctx->fast_thr = fast_threshold(ctx->xs, ctx->num_pixels, ctx->x0, ctx->gx);
 
 #ifdef _OPENMP
 #pragma omp parallel num_threads(threads)
@@ -511,7 +599,10 @@ sweep_impl(double *out, const double *ks, Py_ssize_t num_rows,
             memset(scratch, 0, scratch_bytes);
 #pragma omp for schedule(dynamic, 16)
         for (Py_ssize_t j = 0; j < num_rows; j++) {
-            if (scratch != NULL && !oom)
+            int failed;
+#pragma omp atomic read
+            failed = oom;
+            if (scratch != NULL && !failed)
                 process_row(ctx, kernel_id, ks[j],
                             out + (size_t)j * ctx->num_pixels, scratch);
         }
@@ -531,7 +622,7 @@ sweep_impl(double *out, const double *ks, Py_ssize_t num_rows,
     }
 #endif
     free(pu);
-    return oom ? -1 : 0;
+    return oom ? scratch_bytes : 0;
 }
 
 static PyObject *
@@ -572,7 +663,7 @@ py_sweep(PyObject *self, PyObject *args)
     if (threads < 1)
         threads = 1;
 
-    int status = 0;
+    size_t failed_bytes = 0;
     if (num_rows > 0 && num_pixels > 0) {
         sweep_ctx ctx;
         ctx.xs = (const double *)xs_b.buf;
@@ -588,7 +679,8 @@ py_sweep(PyObject *self, PyObject *args)
         double *out = (double *)out_b.buf;
         const double *ks = (const double *)ks_b.buf;
         Py_BEGIN_ALLOW_THREADS
-        status = sweep_impl(out, ks, num_rows, &ctx, kernel_id, threads);
+        failed_bytes =
+            sweep_impl(out, ks, num_rows, &ctx, kernel_id, threads);
         Py_END_ALLOW_THREADS
     }
 
@@ -598,8 +690,10 @@ py_sweep(PyObject *self, PyObject *args)
     PyBuffer_Release(&ks_b);
     PyBuffer_Release(&xs_b);
     PyBuffer_Release(&xy_b);
-    if (status != 0)
-        return PyErr_NoMemory();
+    if (failed_bytes != 0)
+        return PyErr_Format(PyExc_MemoryError,
+                            "the native sweep could not allocate its "
+                            "scratch (%zu bytes)", failed_bytes);
     Py_RETURN_NONE;
 
 fail:

@@ -196,8 +196,7 @@ class NativeEngine:
     bit-identical to :class:`~repro.core.batch.NumpyBatchEngine` (and to
     ``slam_bucket_row_numpy``) by the extension's operand-order contract.
     ``threads`` is the OpenMP row-parallelism width for each block; with 1
-    (or an OpenMP-less build) the C loop runs serially — still fused, still
-    allocation-free.
+    (or an OpenMP-less build) the same fused C loop runs serially.
     """
 
     name = "slam_bucket.native"

@@ -370,16 +370,59 @@ def _dyadic_row(draw):
     return xs, xy, k, b, weights
 
 
-@pytest.mark.skipif(not NATIVE_AVAILABLE, reason="native extension did not load")
-@settings(max_examples=300, deadline=None)
-@given(case=_dyadic_row())
-def test_native_bucket_edges_match_oracle(case):
-    """The C loop's bucket arithmetic (a truncating cast plus one compare,
-    then the clamp and one-step corrections) equals the oracle's on the
-    edges where the arithmetic index is off by one, bit for bit, for every
-    kernel.  The corrections repair a rounding slip of one index, so this
-    pins the rounding and the corrections together."""
-    xs, xy, k, b, weights = case
+@st.composite
+def _raster_row(draw):
+    """One pixel row scaled the way ``sweep_kdv`` scales it,
+    ``(x_centers - cx) / b``, over a region with a non-dyadic origin,
+    width and bandwidth, so the C loop's bucket quotient
+    ``phi(x) = (x - xs[0]) / (xs[1] - xs[0])`` slips off ``i`` at some
+    centres ``xs[i]``.  The row is swept at ``k = 0`` with ``cx = 0`` and
+    bandwidth 1, so a point's scaled x is its own x.  Points at
+    ``y = +-1`` have zero half-width: both interval endpoints sit exactly
+    on a slipped centre, or one ulp either side of it.  Points at ``y = 0``
+    sit one unit from such a place, so one endpoint lands on it up to
+    rounding, and the rest land anywhere near the row."""
+    width = draw(st.integers(2, 300))
+    xmin = draw(st.floats(-1e6, 1e6))
+    extent = draw(st.floats(1e-2, 1e5))
+    b = draw(st.floats(1e-2, 1e4))
+    raster = Raster(Region(xmin, 0.0, xmin + extent, 1.0), width, 1)
+    cx = (raster.region.xmin + raster.region.xmax) / 2.0
+    xs = (raster.x_centers() - cx) / b
+    slipped = np.flatnonzero(_quotient_slips(xs))
+    centre = st.sampled_from(slipped if len(slipped) else range(width)).map(
+        lambda i: float(xs[i])
+    )
+    on_centre = st.tuples(centre, st.sampled_from((-1, 0, 1))).map(
+        lambda t: float(t[0] if t[1] == 0
+                        else np.nextafter(t[0], t[1] * np.inf))
+    )
+    point = st.one_of(
+        st.tuples(on_centre, st.sampled_from((-1.0, 1.0))),
+        on_centre.map(lambda x: (x + 1.0, 0.0)),
+        on_centre.map(lambda x: (x - 1.0, 0.0)),
+        st.tuples(
+            st.floats(-2.0, 2.0).map(
+                lambda f: float(xs[0] + f * (xs[-1] - xs[0]))
+            ),
+            st.floats(-1.0, 1.0),
+        ),
+    )
+    xy = np.array(draw(st.lists(point, min_size=1, max_size=40)))
+    weights = (np.random.default_rng(len(xy)).uniform(0.5, 2.0, len(xy))
+               if draw(st.booleans()) else None)
+    return xs, xy, 0.0, 1.0, weights
+
+
+def _quotient_slips(xs: np.ndarray) -> np.ndarray:
+    """``phi(xs[i]) - i``: zero on a dyadic row, and each pixel centre's
+    rounding slip on any other."""
+    return (xs - xs[0]) / (xs[1] - xs[0]) - np.arange(len(xs))
+
+
+def _assert_native_matches_oracle(xs, xy, k, b, weights):
+    """``NativeEngine`` sweeps the row at ``k`` byte-equal to ``ORACLE``,
+    for every kernel."""
     ysorted = YSortedIndex(xy)
     sorted_weights = None if weights is None else weights[ysorted.order]
     args = (0, 1, np.array([k]), xs, ysorted, 0.0, b)
@@ -388,6 +431,41 @@ def test_native_bucket_edges_match_oracle(case):
         expected = ORACLE.sweep_block(*args, kernel, sorted_weights)
         got = NativeEngine().sweep_block(*args, kernel, sorted_weights)
         assert got.tobytes() == expected.tobytes(), kernel_name
+
+
+@pytest.mark.skipif(not NATIVE_AVAILABLE, reason="native extension did not load")
+@settings(max_examples=600, deadline=None)
+@given(case=st.one_of(_dyadic_row(), _raster_row()))
+def test_native_bucket_edges_match_oracle(case):
+    """The C loop's bucket arithmetic (a truncating cast plus one compare,
+    then the clamp, and the one-step corrections for the pairs that need
+    them) equals the oracle's on the edges where the arithmetic index is
+    off by one, bit for bit, for every kernel.  The corrections repair a
+    rounding slip of one index, so this pins the rounding and the
+    corrections together.  A pair skips the corrections when its quotients
+    are further from an integer than the row's largest slip
+    ``max |phi(xs[i]) - i|``; that slip is zero on dyadic rows and not on
+    real raster rows, where an endpoint on a slipped centre, or one ulp off
+    it, is exactly where a margin that ignored it would skip a correction
+    the oracle makes."""
+    _assert_native_matches_oracle(*case)
+
+
+@pytest.mark.skipif(not NATIVE_AVAILABLE, reason="native extension did not load")
+def test_native_bucket_edges_match_oracle_on_uneven_centres():
+    """Centres far from uniform (a slip of a quarter pixel or more) send
+    every pair through the corrections; the bits still equal the
+    oracle's, with endpoints on every centre and one ulp either side."""
+    rng = np.random.default_rng(5)
+    xs = np.cumsum(rng.uniform(0.2, 3.0, 40))
+    assert np.abs(_quotient_slips(xs)).max() >= 0.25
+    ends = [float(np.nextafter(x, side * np.inf)) if side else float(x)
+            for x in xs for side in (-1, 0, 1)]
+    points = [(x, y) for x in ends for y in (-1.0, 1.0)]
+    points += [(x, 0.0) for x in rng.uniform(xs[0] - 2.0, xs[-1] + 2.0, 50)]
+    xy = np.array(points)
+    for weights in (None, rng.uniform(0.5, 2.0, len(xy))):
+        _assert_native_matches_oracle(xs, xy, 0.0, 1.0, weights)
 
 
 class TestBatchEdgeCases:

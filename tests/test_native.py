@@ -25,6 +25,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -268,6 +269,61 @@ class TestNativeParity:
             )
 
 
+#: A one-row sweep 20 M pixels wide needs (X + 1) * 16 doubles of scratch
+#: per thread, 2.56 GB, past a 2 GiB address-space limit; the sweep's other
+#: buffers (about 0.6 GB) fit under it.  Afterwards a small sweep in the same
+#: process must still equal the per-row oracle.
+_SCRATCH_OOM = """
+import json, resource
+import numpy as np
+from repro.core.envelope import YSortedIndex
+from repro.core.kernels import get_kernel
+from repro.core.native import NativeEngine
+from repro.core.slam_bucket import slam_bucket_row_numpy
+from repro.core.sweep import RowSweep
+
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+kernel = get_kernel("epanechnikov")
+ysorted = YSortedIndex(np.array([[10.0, 0.0], [20.5, 0.25]]))
+wide = np.arange(20_000_000, dtype=np.float64)
+errors = []
+for threads in (1, 2):
+    try:
+        NativeEngine(threads).sweep_block(
+            0, 1, np.zeros(1), wide, ysorted, 0.0, 4.0, kernel)
+    except MemoryError as exc:
+        errors.append(str(exc))
+del wide
+args = (0, 1, np.zeros(1), np.linspace(0.0, 31.0, 32), ysorted, 0.0, 4.0,
+        kernel)
+got = NativeEngine(2).sweep_block(*args)
+oracle = RowSweep("slam_bucket_row_numpy", slam_bucket_row_numpy)
+print(json.dumps({"errors": errors,
+                  "equal": got.tobytes() == oracle.sweep_block(*args).tobytes()}))
+"""
+
+
+@needs_native
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS is enforced on Linux")
+def test_scratch_allocation_failure_raises_memory_error():
+    """A sweep whose scratch cannot be allocated raises a ``MemoryError``
+    that says so and names the size, with one thread and with two, and
+    leaves the extension usable."""
+    done = subprocess.run(
+        [sys.executable, "-c", _SCRATCH_OOM],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    scratch_bytes = 20_000_001 * 16 * 8
+    message = (f"the native sweep could not allocate its scratch "
+               f"({scratch_bytes} bytes)")
+    assert report["errors"] == [message, message]
+    assert report["equal"]
+
+
 def test_native_spec_falls_back_to_batch_when_absent(fallback):
     """A worker without the extension resolves a native spec to the
     bit-identical numpy_batch engine instead of erroring the shard."""
@@ -447,8 +503,9 @@ def test_unwritable_cache_falls_back_quietly(tmp_path):
     assert report["auto_is_numpy"]
 
 
-#: The comment on the line before the loop gcc must vectorize.
+#: The comments on the lines before the loops gcc must vectorize.
 _VECTORIZED_MARKER = "/* vectorized: the floating-point sub-loop"
+_ROUNDING_MARKER = "/* vectorized with AVX-512DQ: the rounding sub-loop"
 
 
 def _compiler_is_gcc() -> bool:
@@ -461,19 +518,15 @@ def _compiler_is_gcc() -> bool:
     return done.returncode == 0 and "Free Software Foundation" in done.stdout
 
 
-@pytest.mark.skipif(not _compiler_is_gcc(),
-                    reason="the configured C compiler is not gcc")
-def test_pair_phase_float_loop_is_vectorized(tmp_path):
-    """gcc vectorizes the pair phase's floating-point sub-loop under the
-    build's own flags.  A ceil/floor call in that loop keeps it scalar, so
-    this fails if one comes back."""
+def _assert_loop_vectorized(marker: str, tmp_path, *flags: str) -> None:
+    """gcc reports the loop after ``marker`` vectorized when it compiles
+    the source with the build's own flags plus ``flags``."""
     source = native._SOURCE
     lines = source.read_text().splitlines()
-    (marker,) = [i for i, line in enumerate(lines, 1)
-                 if _VECTORIZED_MARKER in line]
-    loop = marker + 1
+    (line,) = [i for i, text in enumerate(lines, 1) if marker in text]
+    loop = line + 1
     assert lines[loop - 1].lstrip().startswith("for ("), lines[loop - 1]
-    argv = native._compile_argv("-fopt-info-vec-optimized",
+    argv = native._compile_argv(*flags, "-fopt-info-vec-optimized",
                                 output=str(tmp_path / "vec.so"))
     done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -481,6 +534,30 @@ def test_pair_phase_float_loop_is_vectorized(tmp_path):
         rf"{re.escape(source.name)}:{loop}:\d+: optimized: loop vectorized"
     )
     assert report.search(done.stderr), done.stderr
+
+
+needs_gcc = pytest.mark.skipif(not _compiler_is_gcc(),
+                               reason="the configured C compiler is not gcc")
+
+
+@needs_gcc
+def test_pair_phase_float_loop_is_vectorized(tmp_path):
+    """gcc vectorizes the pair phase's floating-point sub-loop under the
+    build's own flags.  A ceil/floor call in that loop keeps it scalar, so
+    this fails if one comes back."""
+    _assert_loop_vectorized(_VECTORIZED_MARKER, tmp_path)
+
+
+@needs_gcc
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="x86-64-v4 is an x86-64 target")
+def test_pair_phase_rounding_loop_is_vectorized(tmp_path):
+    """gcc vectorizes the rounding sub-loop (truncating casts, the
+    fast-pair flag and the clamp) for x86-64-v4, whatever the host: its
+    double <-> int64 conversions need AVX-512DQ, so ``-march=native`` on an
+    AVX2 host would keep it scalar and prove nothing.  A ceil/floor call in
+    that loop keeps it scalar."""
+    _assert_loop_vectorized(_ROUNDING_MARKER, tmp_path, "-march=x86-64-v4")
 
 
 # ---------------------------------------------------------------------------
