@@ -21,9 +21,13 @@
  *    in which bincount accumulates its weights;
  *  - the extension must be compiled with -ffp-contract=off so the compiler
  *    cannot fuse a*b+c into an FMA (which rounds differently);
- *  - C's division and sqrt are IEEE-754 correctly rounded, matching NumPy's,
- *    in scalar and SIMD form alike, so auto-vectorization cannot change a
- *    bit;
+ *  - C's division, multiplication and sqrt are IEEE-754 correctly rounded,
+ *    matching NumPy's, in scalar and SIMD form alike, so auto-vectorization
+ *    cannot change a bit;
+ *  - the bucket quotients are products with 1 / gx, not the reference's
+ *    division by gx; they decide the index only for pairs where the
+ *    product provably gives the reference's index, and the other pairs
+ *    recompute the division (see fast_threshold);
  *  - NumPy's ceil/floor followed by astype(int64) is done here as one
  *    truncating float->int64 conversion (the instruction astype lowers to)
  *    plus one compare against the quotient -- the same integer for every
@@ -73,16 +77,15 @@
  * [enter channels | pad | leave channels | pad], padded so the prefix loop
  * reads/zeroes each bucket with whole aligned vectors and touches one (or
  * for quartic two adjacent) cache lines per pixel instead of two distant
- * ones.  STRIDE is doubles per bucket, HALF the offset of the leave half
- * (and the width of the scatter's blocks, pad included). */
+ * ones.  STRIDE is doubles per bucket and HALF the offset of the leave
+ * half.  Quartic's block is 16 doubles: its six enter channels and their
+ * pad fill the first cache line, the leave channels the second. */
 #define STRIDE_UNIFORM 2
 #define HALF_UNIFORM 1
 #define STRIDE_EPANECHNIKOV 8
 #define HALF_EPANECHNIKOV 4
-/* Quartic's six live channels do not fit a cache line alongside their
- * leave twin, so it keeps the classic split layout instead: enter rows at
- * scratch[0:], leave rows at scratch[qoff:], 6 doubles per bucket each
- * (measured faster than a 96/128-byte interleaved stride). */
+#define STRIDE_QUARTIC 16
+#define HALF_QUARTIC 8
 #define STRIDE_MAX 16
 #define LANES_MAX 6 /* the widest scatter block: quartic's six channels */
 
@@ -123,6 +126,7 @@ typedef struct {
     int64_t num_pixels; /* X */
     double x0;          /* xs[0] */
     double gx;          /* pixel gap (1.0 when X == 1) */
+    double rgx;         /* 1.0 / gx */
     const double *xy;   /* (n, 2) y-ascending sorted points */
     Py_ssize_t n;
     const double *weights; /* (n,) in sorted order, or NULL */
@@ -143,69 +147,94 @@ typedef struct {
 #define TILE 512
 
 /* The margin that lets a pair skip the one-step corrections.  Let
- * phi(x) = (x - x0) / gx, the bucket quotient as the floating-point
- * sub-loop computes it.  Correctly rounded subtraction, and division by
- * gx > 0, are monotone, so phi(xs[i]) < phi(lb) implies xs[i] < lb and
- * phi(xs[i]) > phi(lb) implies xs[i] > lb.  Hence, with
+ * phi(x) = (x - x0) * rgx with rgx = 1 / gx, the bucket quotient as the
+ * floating-point sub-loop computes it.  Correctly rounded subtraction, and
+ * multiplication by rgx > 0, are monotone, so phi(xs[i]) < phi(lb) implies
+ * xs[i] < lb and phi(xs[i]) > phi(lb) implies xs[i] > lb.  Hence, with
  * delta = max_i |phi(xs[i]) - i|, a quotient d more than delta from every
  * integer has phi(xs[i]) < d for each i < d and phi(xs[i]) > d for each
- * i > d: the clamped ceil(d) and floor(d) + 1 are already the corrected
- * indices, and the gathers that would check them can be skipped.
+ * i > d: the clamped ceil(d) = #{xs < lb} and floor(d) + 1 = #{xs <= ub}.
+ * The reference, which divides, returns the same counts: where
+ * delta < 0.25 its own quotient is within one index of them, and its
+ * one-step corrections land on them.  So the gathers that would check the
+ * indices can be skipped.
  *
  * Returns thr = 2 * delta + 1e-12; a pair is fast when the fractional
  * parts f of both its quotients have thr < |f| < 1 - thr.  Where
  * delta >= 0.25 (centres far from uniform, which no Raster produces), or
- * is NaN, or gx <= 0 (phi not increasing), no f passes and every pair
- * takes the corrections. */
+ * is NaN, or gx <= 0 (phi not increasing), or rgx is infinite, no f
+ * passes and every pair is slow. */
 static double
-fast_threshold(const double *xs, int64_t X, double x0, double gx)
+fast_threshold(const double *xs, int64_t X, double x0, double gx, double rgx)
 {
     double delta = gx > 0.0 ? 0.0 : INFINITY;
     for (int64_t i = 0; i < X; i++) {
-        double dev = fabs((xs[i] - x0) / gx - (double)i);
+        double dev = fabs((xs[i] - x0) * rgx - (double)i);
         if (!(dev <= delta)) /* keeps a NaN */
             delta = dev;
     }
     return 2.0 * delta + 1e-12;
 }
 
+/* The clamped bucket indices of a quotient d, as the reference rounds it:
+ * ceil_index is clamp((int64_t)ceil(d)) and floor_index is
+ * clamp((int64_t)floor(d) + 1), each written as a truncating cast plus one
+ * compare, because a ceil/floor call keeps gcc from vectorizing the loop it
+ * sits in.  After the clamp the two forms are the same integer for every d.
+ * Where d is in int64 range that is plain.  Beyond it (|d| >= 2^63, inf,
+ * NaN) both convert an out-of-range value and land on the same side of the
+ * clamp: x86's conversion gives INT64_MIN, which the one-step adjustment
+ * and the +1 leave negative (the floor side runs in uint64_t, so it may
+ * wrap through INT64_MAX back to INT64_MIN without a signed overflow); a
+ * saturating conversion's INT64_MAX is never incremented (the
+ * `e != INT64_MAX` term). */
+static inline int64_t
+ceil_index(double d, int64_t X)
+{
+    int64_t e = (int64_t)d;
+    e += (int64_t)(((double)e < d) & (e != INT64_MAX));
+    return e < 0 ? 0 : (e > X ? X : e);
+}
+
+static inline int64_t
+floor_index(double d, int64_t X)
+{
+    int64_t f = (int64_t)d;
+    int64_t l = (int64_t)((uint64_t)f - (uint64_t)((double)f > d) + 1);
+    return l < 0 ? 0 : (l > X ? X : l);
+}
+
 /* Phase one: bucket indices + the cached v^2 for a tile of pairs.  This is
- * a transcription of repro.core.bounds.bucket_indices in two sub-loops that
- * gcc auto-vectorizes -- the first on any x86-64 target, the second where
- * SIMD converts between double and int64 (AVX-512DQ) -- plus a scalar pass
- * that runs only in a tile holding a slow pair.  docs/native.md gives the
+ * repro.core.bounds.bucket_indices in two sub-loops that gcc
+ * auto-vectorizes -- the first on any x86-64 target, the second where SIMD
+ * converts between double and int64 (AVX-512DQ) -- plus a scalar pass that
+ * runs only in a tile holding a slow pair.  docs/native.md gives the
  * command that shows it; tests/test_native.py checks both sub-loops:
  *
- *  - a floating-point sub-loop over contiguous inputs: the divisions, the
- *    sqrt and the raw bucket quotients (lb - x0) / gx and (ub - x0) / gx.
- *    It calls no ceil/floor, which would keep it scalar;
- *  - a rounding sub-loop that rounds each quotient d with a truncating
- *    cast plus one compare -- ceil is `e = (int64_t)d; e += (double)e < d`,
- *    floor is `f = (int64_t)d; f -= (double)f > d` -- and clamps.  It also
- *    takes each fractional part d - (double)(int64_t)d, exact wherever
- *    the cast is, and flags the pair slow unless both clear the margin of
- *    fast_threshold;
- *  - for the slow pairs only, the one-step corrections, written in the
- *    reference's own masked form (`(e < X) & (xs[min(e, X-1)] < lb)`) and
- *    applied sequentially on the updated index.
- *
- * After the clamp the rounding equals (int64_t)ceil(d) / (int64_t)floor(d)
- * for every d.  Where d is in int64 range the two are the same integer.
- * Beyond it (|d| >= 2^63, inf, NaN) both convert an out-of-range value and
- * land on the same side of the clamp: x86's conversion gives INT64_MIN,
- * which the one-step adjustment and the +1 leave negative (the floor side
- * runs in uint64_t, so it may wrap through INT64_MAX back to INT64_MIN
- * without a signed overflow); a saturating conversion's INT64_MAX is never
- * incremented (the `e != INT64_MAX` term).  None of those pairs is fast:
- * |d| >= 2^52 is a whole number, and an out-of-range conversion leaves a
- * fractional part that is NaN, infinite or a multiple of 2^11. */
+ *  - a floating-point sub-loop over contiguous inputs: the division by the
+ *    bandwidth, the sqrt, and the bucket quotients (lb - x0) * rgx and
+ *    (ub - x0) * rgx.  It calls no ceil/floor, which would keep it scalar;
+ *  - a rounding sub-loop that rounds each quotient with ceil_index and
+ *    floor_index.  It also takes each fractional part
+ *    d - (double)(int64_t)d, exact wherever the cast is, and flags the
+ *    pair slow unless both clear the margin of fast_threshold.  No pair
+ *    whose cast is out of range is fast: |d| >= 2^52 is a whole number,
+ *    and an out-of-range conversion leaves a fractional part that is NaN,
+ *    infinite or a multiple of 2^11;
+ *  - for the slow pairs only, the reference itself: its quotients
+ *    (lb - x0) / gx and (ub - x0) / gx, which can round to the other side
+ *    of an integer than the products do, the same rounding, and the
+ *    one-step corrections, written in the reference's own masked form
+ *    (`(e < X) & (xs[min(e, X-1)] < lb)`) and applied sequentially on the
+ *    updated index. */
 static void
 tile_indices(const sweep_ctx *ctx, double k, Py_ssize_t t0, Py_ssize_t m,
              int64_t *eidx, int64_t *lidx, double *vsq)
 {
     const double *xs = ctx->xs;
     const int64_t X = ctx->num_pixels;
-    const double x0 = ctx->x0, gx = ctx->gx, bw = ctx->bandwidth;
+    const double x0 = ctx->x0, gx = ctx->gx, rgx = ctx->rgx;
+    const double bw = ctx->bandwidth;
     const double thr = ctx->fast_thr, top = 1.0 - thr;
     const double *py = ctx->point_y + t0;
     const double *pu = ctx->point_u + t0;
@@ -224,21 +253,17 @@ tile_indices(const sweep_ctx *ctx, double k, Py_ssize_t t0, Py_ssize_t m,
         vsq[q] = v2;
         lbv[q] = lb;
         ubv[q] = ub;
-        efv[q] = (lb - x0) / gx;
-        lfv[q] = (ub - x0) / gx;
+        efv[q] = (lb - x0) * rgx;
+        lfv[q] = (ub - x0) * rgx;
     }
     int64_t nslow = 0;
     /* vectorized with AVX-512DQ: the rounding sub-loop */
     for (Py_ssize_t q = 0; q < m; q++) {
         double ed = efv[q], ld = lfv[q];
-        int64_t e = (int64_t)ed;
-        double ef = fabs(ed - (double)e);
-        e += (int64_t)(((double)e < ed) & (e != INT64_MAX));
-        eidx[q] = e < 0 ? 0 : (e > X ? X : e);
-        int64_t f = (int64_t)ld;
-        double lf = fabs(ld - (double)f);
-        int64_t l = (int64_t)((uint64_t)f - (uint64_t)((double)f > ld) + 1);
-        lidx[q] = l < 0 ? 0 : (l > X ? X : l);
+        double ef = fabs(ed - (double)(int64_t)ed);
+        double lf = fabs(ld - (double)(int64_t)ld);
+        eidx[q] = ceil_index(ed, X);
+        lidx[q] = floor_index(ld, X);
         int64_t s = !((ef > thr) & (ef < top) & (lf > thr) & (lf < top));
         slow[q] = s;
         nslow += s;
@@ -249,11 +274,11 @@ tile_indices(const sweep_ctx *ctx, double k, Py_ssize_t t0, Py_ssize_t m,
         if (!slow[q])
             continue;
         double lb = lbv[q], ub = ubv[q];
-        int64_t e = eidx[q];
+        int64_t e = ceil_index((lb - x0) / gx, X);
         e += (int64_t)((e < X) & (xs[e < X ? e : X - 1] < lb));
         e -= (int64_t)((e > 0) & (xs[e > 0 ? e - 1 : 0] >= lb));
         eidx[q] = e;
-        int64_t l = lidx[q];
+        int64_t l = floor_index((ub - x0) / gx, X);
         l += (int64_t)((l < X) & (xs[l < X ? l : X - 1] <= ub));
         l -= (int64_t)((l > 0) & (xs[l > 0 ? l - 1 : 0] > ub));
         lidx[q] = l;
@@ -264,12 +289,10 @@ tile_indices(const sweep_ctx *ctx, double k, Py_ssize_t t0, Py_ssize_t m,
  * whole blocks of `lanes` doubles, the enter block of bucket eidx[q] and
  * the leave block of bucket lidx[q]: load both into temporaries, run
  * CHANNELS (which fills ch[0..lanes)), add, store both.  The blocks never
- * overlap (they sit in different halves of a bucket's block, or of the
- * scratch), so each lane gets the same IEEE add as a per-channel `+=`, in
- * the same per-bucket order.  `half` is the offset of the leave half
- * within the bucket's block (for the interleaved layouts) or within the
- * scratch (for the split quartic layout, which passes precomputed base
- * pointers).
+ * overlap (they sit in different halves of a bucket's block), so each lane
+ * gets the same IEEE add as a per-channel `+=`, in the same per-bucket
+ * order.  `half` is the offset of the leave half within the bucket's
+ * block.
  *
  * gcc's SLP vectorizer turns each block into vector loads, adds and
  * stores (Epanechnikov's 4 lanes as one, quartic's 6 as 4 + 2).  It needs
@@ -434,12 +457,11 @@ static void
 row_quartic(const sweep_ctx *ctx, double k, Py_ssize_t lo, Py_ssize_t hi,
             double *out_row, double *scratch)
 {
-    const int64_t qoff = (ctx->num_pixels + 1) * NLIVE_QUARTIC;
     if (ctx->weights == NULL) {
         FOR_TILES({
             for (Py_ssize_t q = 0; q < m; q++) {
                 Py_ssize_t p = t0 + q;
-                SCATTER(NLIVE_QUARTIC, qoff, NLIVE_QUARTIC, {
+                SCATTER(STRIDE_QUARTIC, HALF_QUARTIC, NLIVE_QUARTIC, {
                     double u = ctx->point_u[p];
                     double v2 = vsq[q];
                     double u2 = u * u;
@@ -457,7 +479,7 @@ row_quartic(const sweep_ctx *ctx, double k, Py_ssize_t lo, Py_ssize_t hi,
         FOR_TILES({
             for (Py_ssize_t q = 0; q < m; q++) {
                 Py_ssize_t p = t0 + q;
-                SCATTER(NLIVE_QUARTIC, qoff, NLIVE_QUARTIC, {
+                SCATTER(STRIDE_QUARTIC, HALF_QUARTIC, NLIVE_QUARTIC, {
                     double u = ctx->point_u[p];
                     double v2 = vsq[q];
                     double w = ctx->weights[p];
@@ -473,28 +495,25 @@ row_quartic(const sweep_ctx *ctx, double k, Py_ssize_t lo, Py_ssize_t hi,
             }
         });
     }
-    double *ap = scratch;
-    double *sp = scratch + qoff;
-    double cnt = ap[0] - sp[0];
-    double ax = ap[1] - sp[1];
-    double s = ap[2] - sp[2];
-    double cxa = ap[3] - sp[3];
-    double qq = ap[4] - sp[4];
-    double mxx = ap[5] - sp[5];
-    for (int c = 0; c < NLIVE_QUARTIC; c++)
-        ap[c] = sp[c] = 0.0;
+    double cnt = scratch[0] - scratch[8];
+    double ax = scratch[1] - scratch[9];
+    double s = scratch[2] - scratch[10];
+    double cxa = scratch[3] - scratch[11];
+    double qq = scratch[4] - scratch[12];
+    double mxx = scratch[5] - scratch[13];
+    for (int c = 0; c < STRIDE_QUARTIC; c++)
+        scratch[c] = 0.0;
     for (int64_t i = 0; i < ctx->num_pixels; i++) {
         if (i > 0) {
-            ap = scratch + i * NLIVE_QUARTIC;
-            sp = scratch + qoff + i * NLIVE_QUARTIC;
-            cnt += ap[0] - sp[0];
-            ax += ap[1] - sp[1];
-            s += ap[2] - sp[2];
-            cxa += ap[3] - sp[3];
-            qq += ap[4] - sp[4];
-            mxx += ap[5] - sp[5];
-            for (int c = 0; c < NLIVE_QUARTIC; c++)
-                ap[c] = sp[c] = 0.0;
+            double *bp = scratch + i * STRIDE_QUARTIC;
+            cnt += bp[0] - bp[8];
+            ax += bp[1] - bp[9];
+            s += bp[2] - bp[10];
+            cxa += bp[3] - bp[11];
+            qq += bp[4] - bp[12];
+            mxx += bp[5] - bp[13];
+            for (int c = 0; c < STRIDE_QUARTIC; c++)
+                bp[c] = 0.0;
         }
         double qx = ctx->xs[i];
         double qx2 = ctx->xs2[i];
@@ -510,10 +529,7 @@ row_quartic(const sweep_ctx *ctx, double k, Py_ssize_t lo, Py_ssize_t hi,
         sum_d4 -= 4.0 * (qx * cxa);
         out_row[i] = (cnt - 2.0 * sum_d2) + sum_d4;
     }
-    ap = scratch + ctx->num_pixels * NLIVE_QUARTIC;
-    sp = scratch + qoff + ctx->num_pixels * NLIVE_QUARTIC;
-    for (int c = 0; c < NLIVE_QUARTIC; c++)
-        ap[c] = sp[c] = 0.0;
+    CLEAR_PAST_END(STRIDE_QUARTIC);
 }
 
 static void
@@ -585,7 +601,9 @@ sweep_impl(double *out, const double *ks, Py_ssize_t num_rows,
     }
     ctx->xs2 = xs2;
     ctx->x2 = x2;
-    ctx->fast_thr = fast_threshold(ctx->xs, ctx->num_pixels, ctx->x0, ctx->gx);
+    ctx->rgx = 1.0 / ctx->gx;
+    ctx->fast_thr =
+        fast_threshold(ctx->xs, ctx->num_pixels, ctx->x0, ctx->gx, ctx->rgx);
 
 #ifdef _OPENMP
 #pragma omp parallel num_threads(threads)

@@ -89,10 +89,10 @@ def _cache_path(source: bytes) -> Path:
     return Path(base, "repro", f"_native_sweep-{key.hexdigest()[:16]}{suffix}")
 
 
-def _compile_argv(*flags: str, output: str) -> list[str]:
-    """The command that builds :data:`_SOURCE` into ``output`` with
-    :data:`_FLAGS` plus ``flags``.  ``$CC`` replaces the interpreter's
-    configured compiler, as in setuptools."""
+def _compile_argv(*flags: str, output: str, source: Path = _SOURCE) -> list[str]:
+    """The command that builds ``source`` (:data:`_SOURCE` by default) into
+    ``output`` with :data:`_FLAGS` plus ``flags``.  ``$CC`` replaces the
+    interpreter's configured compiler, as in setuptools."""
     import shlex
 
     cc = sysconfig.get_config_var("CC") or "cc"
@@ -101,12 +101,12 @@ def _compile_argv(*flags: str, output: str) -> list[str]:
         command = os.environ["CC"] + command[len(cc):]
     include = sysconfig.get_paths()["include"]
     return [*shlex.split(command), *_FLAGS, *flags, f"-I{include}",
-            str(_SOURCE), "-o", output]
+            str(source), "-o", output]
 
 
-def _compile(target: Path) -> None:
-    """Compile :data:`_SOURCE` into ``target``: the only code that starts a
-    compiler, run on a cache miss."""
+def _compile(target: Path, source: Path = _SOURCE) -> None:
+    """Compile ``source`` (:data:`_SOURCE` by default) into ``target``: the
+    only code that starts a compiler, run on a cache miss."""
     import subprocess
     import tempfile
 
@@ -115,7 +115,7 @@ def _compile(target: Path) -> None:
     os.close(fd)
     try:
         for openmp in (_OPENMP, ()):
-            argv = _compile_argv(*openmp, output=tmp)
+            argv = _compile_argv(*openmp, output=tmp, source=source)
             done = subprocess.run(argv, capture_output=True, text=True)
             if done.returncode == 0:
                 os.replace(tmp, target)

@@ -37,6 +37,8 @@ Status mapping (the contract the error-path tests pin down):
       malformed or unservable ``window=``, malformed or
       unservable ``quality=`` / ``max_error=``
 404   unknown path, tile outside the pyramid or beyond max zoom
+413   request body larger than :data:`MAX_BODY_BYTES` (answered
+      unread, and the connection is closed)
 503   render queue full past the cheapest admissible quality
       tier (with ``Retry-After``), or shutting down
 504   per-request deadline exceeded
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -59,6 +62,10 @@ from .service import ServiceClosed, ServiceOverloaded, ServiceTimeout, TileServi
 from .window import WindowError
 
 __all__ = ["TileHTTPServer", "TileRequestHandler", "start_server"]
+
+#: The largest request body the server reads (64 MiB, about a million
+#: ingest events as JSON); a larger ``Content-Length`` gets 413 unread.
+MAX_BODY_BYTES = 64 << 20
 
 _TILE_PATH = re.compile(r"^/tiles/([^/]+)/([^/]+)/([^/]+?)(\.npy|\.png)?$")
 _INT = re.compile(r"^-?\d+$")
@@ -98,6 +105,16 @@ class TileRequestHandler(BaseHTTPRequestHandler):
 
     def _error(self, status: int, message: str, headers=()) -> None:
         self._send_json(status, {"error": message}, headers)
+
+    def _read_body(self, length: int) -> "bytes | None":
+        """The ``length``-byte body, or ``None`` after answering 413 when it
+        is over :data:`MAX_BODY_BYTES`.  The oversized body is never read,
+        so the connection closes after the answer."""
+        if length > MAX_BODY_BYTES:
+            self._error(413, f"request body over {MAX_BODY_BYTES} bytes",
+                        headers=[("Connection", "close")])
+            return None
+        return self.rfile.read(length)
 
     # -- routes ------------------------------------------------------------
 
@@ -205,8 +222,11 @@ class TileRequestHandler(BaseHTTPRequestHandler):
             if length <= 0:
                 self._error(400, "ingest requires a JSON body with Content-Length")
                 return
+            body = self._read_body(length)
+            if body is None:
+                return
             try:
-                payload = json.loads(self.rfile.read(length))
+                payload = json.loads(body)
             except (json.JSONDecodeError, UnicodeDecodeError):
                 self._error(400, "ingest body is not valid JSON")
                 return
@@ -239,8 +259,11 @@ class TileRequestHandler(BaseHTTPRequestHandler):
                 self._error(400, "bad Content-Length")
                 return
             if length > 0:
+                body = self._read_body(length)
+                if body is None:
+                    return
                 try:
-                    payload = json.loads(self.rfile.read(length))
+                    payload = json.loads(body)
                 except (json.JSONDecodeError, UnicodeDecodeError):
                     self._error(400, "tick body is not valid JSON")
                     return
@@ -248,8 +271,8 @@ class TileRequestHandler(BaseHTTPRequestHandler):
                     self._error(400, 'tick body must be {} or {"now": <event-time>}')
                     return
                 now = payload.get("now")
-                if now is not None and not isinstance(now, (int, float)):
-                    self._error(400, "tick 'now' must be a number (event time)")
+                if now is not None and not _finite_number(now):
+                    self._error(400, "tick 'now' must be a finite number (event time)")
                     return
             try:
                 outcome = self.service.tick(now=now)
@@ -274,6 +297,14 @@ class TileRequestHandler(BaseHTTPRequestHandler):
             name="kdv-shutdown",
             daemon=True,
         ).start()
+
+
+def _finite_number(value) -> bool:
+    """A JSON number that is finite as a float; ``True``/``False`` are not."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past float range
+        return False
 
 
 def _query_param(query: str, name: str, default: "str | None") -> "str | None":

@@ -374,14 +374,14 @@ def _dyadic_row(draw):
 def _raster_row(draw):
     """One pixel row scaled the way ``sweep_kdv`` scales it,
     ``(x_centers - cx) / b``, over a region with a non-dyadic origin,
-    width and bandwidth, so the C loop's bucket quotient
-    ``phi(x) = (x - xs[0]) / (xs[1] - xs[0])`` slips off ``i`` at some
-    centres ``xs[i]``.  The row is swept at ``k = 0`` with ``cx = 0`` and
-    bandwidth 1, so a point's scaled x is its own x.  Points at
-    ``y = +-1`` have zero half-width: both interval endpoints sit exactly
-    on a slipped centre, or one ulp either side of it.  Points at ``y = 0``
-    sit one unit from such a place, so one endpoint lands on it up to
-    rounding, and the rest land anywhere near the row."""
+    width and bandwidth, so the bucket quotients of ``_quotient_slips``
+    slip off ``i`` at some centres ``xs[i]``.  The row is swept at
+    ``k = 0`` with ``cx = 0`` and bandwidth 1, so a point's scaled x is
+    its own x.  Points at ``y = +-1`` have zero half-width: both interval
+    endpoints sit exactly on a slipped centre, or one ulp either side of
+    it.  Points at ``y = 0`` sit one unit from such a place, so one
+    endpoint lands on it up to rounding, and the rest land anywhere near
+    the row."""
     width = draw(st.integers(2, 300))
     xmin = draw(st.floats(-1e6, 1e6))
     extent = draw(st.floats(1e-2, 1e5))
@@ -389,7 +389,7 @@ def _raster_row(draw):
     raster = Raster(Region(xmin, 0.0, xmin + extent, 1.0), width, 1)
     cx = (raster.region.xmin + raster.region.xmax) / 2.0
     xs = (raster.x_centers() - cx) / b
-    slipped = np.flatnonzero(_quotient_slips(xs))
+    slipped = np.flatnonzero(_quotient_slips(xs).any(axis=0))
     centre = st.sampled_from(slipped if len(slipped) else range(width)).map(
         lambda i: float(xs[i])
     )
@@ -415,9 +415,19 @@ def _raster_row(draw):
 
 
 def _quotient_slips(xs: np.ndarray) -> np.ndarray:
-    """``phi(xs[i]) - i``: zero on a dyadic row, and each pixel centre's
-    rounding slip on any other."""
-    return (xs - xs[0]) / (xs[1] - xs[0]) - np.arange(len(xs))
+    """``phi(xs[i]) - i`` for the C loop's two bucket quotients, as a
+    ``(2, X)`` array: the reference's ``(x - xs[0]) / gx``, which the slow
+    pairs recompute, and the product ``(x - xs[0]) * (1 / gx)``, which the
+    fast-pair test measures.  Zero on a dyadic row, and each pixel
+    centre's rounding slip on any other."""
+    gx = xs[1] - xs[0]
+    i = np.arange(len(xs))
+    return np.stack([(xs - xs[0]) / gx - i, (xs - xs[0]) * (1.0 / gx) - i])
+
+
+def _ulp_neighbours(a: float) -> list:
+    """``a`` and the floats one ulp either side of it."""
+    return [float(np.nextafter(a, -np.inf)), a, float(np.nextafter(a, np.inf))]
 
 
 def _assert_native_matches_oracle(xs, xy, k, b, weights):
@@ -458,14 +468,52 @@ def test_native_bucket_edges_match_oracle_on_uneven_centres():
     oracle's, with endpoints on every centre and one ulp either side."""
     rng = np.random.default_rng(5)
     xs = np.cumsum(rng.uniform(0.2, 3.0, 40))
-    assert np.abs(_quotient_slips(xs)).max() >= 0.25
-    ends = [float(np.nextafter(x, side * np.inf)) if side else float(x)
-            for x in xs for side in (-1, 0, 1)]
+    assert (np.abs(_quotient_slips(xs)).max(axis=1) >= 0.25).all()
+    ends = [x for centre in xs for x in _ulp_neighbours(float(centre))]
     points = [(x, y) for x in ends for y in (-1.0, 1.0)]
     points += [(x, 0.0) for x in rng.uniform(xs[0] - 2.0, xs[-1] + 2.0, 50)]
     xy = np.array(points)
     for weights in (None, rng.uniform(0.5, 2.0, len(xy))):
         _assert_native_matches_oracle(xs, xy, 0.0, 1.0, weights)
+
+
+def _quotient_disagreements(gx: float, ns) -> list:
+    """The ``a`` at ``n * gx`` or one ulp either side whose ceil or floor
+    differs between the division ``a / gx`` and the product
+    ``a * (1 / gx)``."""
+    rgx = 1.0 / gx
+    return [a for n in ns for a in _ulp_neighbours(n * gx)
+            if np.ceil(a / gx) != np.ceil(a * rgx)
+            or np.floor(a / gx) != np.floor(a * rgx)]
+
+
+@pytest.mark.skipif(not NATIVE_AVAILABLE, reason="native extension did not load")
+def test_native_slow_pass_keeps_the_oracle_division():
+    """Slow pairs take the reference's quotient ``(lb - x0) / gx``, not
+    the product the fast-pair test uses, because the one-step corrections
+    start from its rounding.  Centres ``[0, gx, 20 gx, 21 gx, ...]`` slip
+    by far more than a quarter pixel, so every pair is slow, and a
+    zero-width interval at ``a = n * gx`` for ``3 <= n < 20`` lies between
+    ``xs[1]`` and ``xs[2]``.  Where ``a / gx`` rounds up past ``n`` and
+    ``a * (1 / gx)`` does not (or the other way round), the corrections
+    land on different indices, so a slow pass on the product returns
+    other bits than the oracle."""
+    pinned = 0.1938352466451458
+    a = 0.5815057399354374  # one ulp above 3 * pinned
+    assert (a / pinned, a * (1.0 / pinned)) == (3.0000000000000004, 3.0)
+    rng = np.random.default_rng(19)
+    gaps = [pinned, *rng.uniform(0.05, 0.5, 400)]
+    rows = [(gx, ends) for gx in gaps
+            if (ends := _quotient_disagreements(gx, range(3, 20)))][:12]
+    assert rows[0][0] == pinned and a in rows[0][1] and len(rows) == 12
+    for gx, ends in rows:
+        xs = gx * np.concatenate([[0.0, 1.0], np.arange(20.0, 42.0)])
+        assert xs[1] == gx
+        assert (np.abs(_quotient_slips(xs)).max(axis=1) >= 0.25).all()
+        near = [x for end in ends for x in _ulp_neighbours(end)]
+        xy = np.array([(x, y) for x in near for y in (-1.0, 1.0)])
+        for weights in (None, rng.uniform(0.5, 2.0, len(xy))):
+            _assert_native_matches_oracle(xs, xy, 0.0, 1.0, weights)
 
 
 class TestBatchEdgeCases:

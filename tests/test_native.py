@@ -560,6 +560,35 @@ def test_pair_phase_rounding_loop_is_vectorized(tmp_path):
     _assert_loop_vectorized(_ROUNDING_MARKER, tmp_path, "-march=x86-64-v4")
 
 
+def _git_tracks_the_source() -> bool:
+    if shutil.which("git") is None:
+        return False
+    done = subprocess.run(
+        ["git", "cat-file", "-e", "HEAD:src/repro/core/_native_sweep.c"],
+        cwd=SRC.parent, capture_output=True,
+    )
+    return done.returncode == 0
+
+
+@pytest.mark.skipif(not _git_tracks_the_source(),
+                    reason="not a git checkout, or no git")
+@pytest.mark.skipif(
+    shutil.which(native._compile_argv(output=os.devnull)[0]) is None,
+    reason="no C compiler",
+)
+def test_diff_native_runs_a_against_a():
+    """``benchmarks/diff_native.py`` builds HEAD's C and the working
+    tree's side by side and finds no differing byte in a few cells."""
+    done = subprocess.run(
+        [sys.executable, str(SRC.parent / "benchmarks" / "diff_native.py"),
+         "--base", "HEAD", "--cells", "5"],
+        cwd=SRC.parent, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip().endswith("30 sweeps, 0 differing")
+
+
 # ---------------------------------------------------------------------------
 # Every default path reaches the C loop
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -219,6 +220,30 @@ class TestIngestEndpoint:
         fetch(server.url + "/ingest", data=b'{"points": [[1, 2, 3]]}')
         assert server.service.points_count == before
 
+    @pytest.mark.parametrize("path", ["/ingest", "/tick"])
+    def test_oversized_body_is_413_unread(self, server, path, capsys):
+        """A ``Content-Length`` past the cap is answered 413 without
+        reading (or allocating) the body, and the connection closes; the
+        server logs nothing and serves the next connection."""
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            sock.sendall(
+                f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+                "Content-Type: application/json\r\n"
+                "Content-Length: 1000000000000\r\n\r\n".encode()
+            )
+            reply = b""
+            while chunk := sock.recv(65536):  # EOF: the server closed it
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in head
+        assert "error" in json.loads(body)
+        assert fetch(server.url + "/healthz")[0] == 200
+        assert server.service.points_count == 200
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+
 
 class TestWindowAndTick:
     @pytest.fixture()
@@ -299,12 +324,16 @@ class TestWindowAndTick:
     @pytest.mark.parametrize(
         "data",
         [b"not json", json.dumps(["now"]).encode(),
-         json.dumps({"now": "late"}).encode()],
+         json.dumps({"now": "late"}).encode(),
+         b'{"now": true}', b'{"now": false}', b'{"now": NaN}',
+         b'{"now": Infinity}', b'{"now": -Infinity}',
+         pytest.param(b'{"now": 1' + b"0" * 400 + b"}", id="int-past-float")],
     )
     def test_malformed_tick_is_400(self, windowed_server, data):
         status, _, body = fetch(windowed_server.url + "/tick", data=data)
         assert status == 400
         assert "error" in json.loads(body)
+        assert windowed_server.service.stats()["window"]["ticks"] == 0
 
     def test_tick_on_get_is_404(self, windowed_server):
         assert fetch(windowed_server.url + "/tick")[0] == 404
