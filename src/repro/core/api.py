@@ -153,7 +153,9 @@ def compute_kdv(
         A :class:`~repro.data.points.PointSet` or an ``(n, 2)`` array of
         finite coordinates (NaN or ±inf raises ``ValueError``).
     region:
-        World-coordinate rectangle to render; defaults to the dataset MBR.
+        World-coordinate rectangle to render; defaults to the dataset MBR
+        (:meth:`Region.from_points`; a :class:`PointSet` computes its
+        extents once and keeps them).
     size:
         ``(X, Y)`` resolution in pixels (paper default 1280 x 960).
     kernel:
@@ -204,12 +206,18 @@ def compute_kdv(
         :func:`repro.core.parallel.validate_backend` for every method that
         accepts one.
     ysorted:
-        Optional pre-built :class:`~repro.core.envelope.YSortedIndex` over
-        exactly these points, letting repeated calls on the same dataset
-        (e.g. tile rendering) skip the O(n log n) sort.  Only the SLAM
-        methods (:data:`PARALLEL_METHODS`) consume the index; passing one
-        with any other method raises.  RAO methods reuse it in both
-        orientations via its cached transposed twin.
+        For raw arrays: an optional pre-built
+        :class:`~repro.core.envelope.YSortedIndex` over exactly these
+        coordinates, letting repeated calls on the same array (e.g. tile
+        rendering) skip the O(n log n) sort.  A
+        :class:`~repro.data.points.PointSet` needs none: the SLAM methods
+        use the index it keeps (:meth:`~repro.data.points.PointSet.ysorted_index`),
+        so only its first render sorts.  Only the SLAM methods
+        (:data:`PARALLEL_METHODS`) consume an index; passing one with any
+        other method raises, as does one built over other points (the
+        same array object is accepted at once, an equal copy after one
+        comparison).  RAO methods reuse it in both orientations via its
+        cached transposed twin, sorted on first use.
     collect_stats:
         ``True`` attaches a fresh :class:`~repro.obs.Recorder` to the
         computation and returns it on :attr:`KDVResult.recorder`.  SLAM
@@ -253,7 +261,10 @@ def compute_kdv(
     if region is None:
         if len(xy) == 0:
             raise ValueError("region is required for an empty dataset")
-        region = Region.from_points(xy)
+        if isinstance(points, PointSet):
+            region = Region.from_extents(*points.bounds())
+        else:
+            region = Region.from_points(xy)
     width, height = size
     raster = Raster(region, int(width), int(height))
     n = len(xy)
@@ -298,6 +309,11 @@ def compute_kdv(
                 f"ysorted was built over {len(ysorted)} points but the "
                 f"dataset has {n}; the index must cover exactly these points"
             )
+        if ysorted.xy is not xy and not np.array_equal(ysorted.xy, xy):
+            raise ValueError(
+                f"ysorted was built over other coordinates than these {n} "
+                f"points; the index must cover exactly these points"
+            )
 
     if recorder is None and collect_stats:
         recorder = Recorder()
@@ -321,9 +337,12 @@ def compute_kdv(
 
     sweep_stats: dict = {}
     if method in PARALLEL_METHODS:
-        method_kwargs = {**method_kwargs, "workers": workers, "stats": sweep_stats}
-        if ysorted is not None:
-            method_kwargs["ysorted"] = ysorted
+        if ysorted is None and isinstance(points, PointSet):
+            ysorted = points.ysorted_index()
+        method_kwargs = {
+            **method_kwargs, "workers": workers, "stats": sweep_stats,
+            "ysorted": ysorted,
+        }
         if rec is not None:
             method_kwargs["recorder"] = rec
         grid = grid_fn(

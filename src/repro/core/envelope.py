@@ -86,28 +86,81 @@ def _stable_argsort(values: np.ndarray) -> np.ndarray:
 class YSortedIndex:
     """Points sorted by y coordinate for fast envelope slicing.
 
-    Build once per dataset (per KDV invocation); reuse across all ``Y`` rows.
+    Build once per dataset and reuse across all ``Y`` rows and across calls;
+    a :class:`~repro.data.points.PointSet` keeps one for its lifetime
+    (:meth:`~repro.data.points.PointSet.ysorted_index`).
+
+    ``YSortedIndex(xy)`` sorts at once.  :meth:`deferred` and
+    :meth:`transposed` create an index that sorts on the first read of
+    :attr:`order`, :attr:`sorted_xy` or :attr:`sorted_y` (or on
+    :meth:`sort`), so creating one costs nothing and only the orientation a
+    sweep reads is ever sorted.  Concurrent first reads may both sort; they
+    compute the same permutation, so either result serves.
     """
 
     def __init__(self, xy: np.ndarray):
-        xy = np.asarray(xy, dtype=np.float64)
+        self._setup(xy)
+        self.sort()
+
+    @classmethod
+    def deferred(cls, xy: np.ndarray) -> "YSortedIndex":
+        """An index over ``xy`` whose sort waits for its first use."""
+        index = cls.__new__(cls)
+        index._setup(xy)
+        return index
+
+    def _setup(self, xy: np.ndarray) -> None:
         #: the original-order coordinates the index was built over
-        self.xy = xy
-        order = _stable_argsort(xy[:, 1])
-        #: points re-ordered by ascending y, shape (n, 2)
-        self.sorted_xy = np.take(xy, order, axis=0)
-        #: the ascending y view used for the binary searches
-        self.sorted_y = self.sorted_xy[:, 1]
-        #: original dataset index of each sorted position
-        self.order = order
+        self.xy = np.asarray(xy, dtype=np.float64)
+        #: ``(order, sorted_xy)`` once sorted
+        self._sorted: "tuple[np.ndarray, np.ndarray] | None" = None
         self._transposed: "YSortedIndex | None" = None
 
+    @property
+    def is_sorted(self) -> bool:
+        """Whether the sort has run (a deferred index starts unsorted)."""
+        return self._sorted is not None
+
+    def sort(self) -> None:
+        """Sort now, unless already sorted."""
+        self._arrays()
+
+    def _arrays(self) -> "tuple[np.ndarray, np.ndarray]":
+        arrays = self._sorted
+        if arrays is None:
+            order = _stable_argsort(self.xy[:, 1])
+            arrays = self._sorted = (order, np.take(self.xy, order, axis=0))
+        return arrays
+
+    @property
+    def order(self) -> np.ndarray:
+        """Original dataset index of each sorted position."""
+        return self._arrays()[0]
+
+    @property
+    def sorted_xy(self) -> np.ndarray:
+        """Points re-ordered by ascending y, shape ``(n, 2)``."""
+        return self._arrays()[1]
+
+    @property
+    def sorted_y(self) -> np.ndarray:
+        """The ascending y view used for the binary searches."""
+        return self._arrays()[1][:, 1]
+
     def __len__(self) -> int:
-        return len(self.sorted_xy)
+        return len(self.xy)
+
+    def __getstate__(self) -> dict:
+        # the transposed twin stays behind; the far side rebuilds it on demand
+        return {"xy": self.xy, "sorted": self._sorted}
+
+    def __setstate__(self, state: dict) -> None:
+        self._setup(state["xy"])
+        self._sorted = state["sorted"]
 
     def transposed(self) -> "YSortedIndex":
-        """The index over the coordinate-swapped points, built lazily and
-        cached.
+        """The index over the coordinate-swapped points, created lazily,
+        cached, and sorted on first use.
 
         RAO column sweeps run the row sweep on the transposed problem
         (:func:`repro.core.rao.with_rao`), which sorts by the *other*
@@ -119,8 +172,9 @@ class YSortedIndex:
         so ``idx.transposed().transposed() is idx``.
         """
         if self._transposed is None:
-            self._transposed = YSortedIndex(self.xy[:, ::-1])
-            self._transposed._transposed = self
+            twin = YSortedIndex.deferred(self.xy[:, ::-1])
+            twin._transposed = self
+            self._transposed = twin
         return self._transposed
 
     def envelope_slice(self, k: float, bandwidth: float) -> slice:

@@ -42,7 +42,10 @@ def with_rao(grid_fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
     column sweep runs on the transposed problem, which sorts by the other
     coordinate, so the wrapper forwards the index's cached coordinate-swapped
     twin (:meth:`repro.core.envelope.YSortedIndex.transposed`) instead of
-    silently dropping the index and re-sorting.
+    silently dropping the index and re-sorting.  The twin sorts on first
+    use, in the sweep that reads it, which records that sort as
+    ``index_build``; a row sweep never sorts it, nor a column sweep the row
+    index.
     """
 
     def rao_grid(

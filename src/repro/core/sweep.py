@@ -220,7 +220,9 @@ def sweep_kdv(
         any object with the same ``name``/``threads``/``sweep_block`` shape
         (e.g. a :class:`RowSweep` around a per-row test oracle).
     ysorted:
-        Optional pre-built y-sorted index (reused across exploratory calls).
+        Optional y-sorted index over ``xy`` (reused across exploratory
+        calls).  One still unsorted (:meth:`YSortedIndex.deferred`, or a
+        fresh :meth:`~YSortedIndex.transposed` twin) is sorted here.
     weights:
         Optional ``(n,)`` per-point weights (w_p = 1 when omitted).  Weighting
         scales each point's aggregate channels, so the sweep itself is
@@ -242,7 +244,8 @@ def sweep_kdv(
         ``rows_per_sec``.
     recorder:
         Optional :class:`~repro.obs.Recorder`.  When attached, the sweep
-        records the ``index_build`` and ``sweep`` spans, per-phase timers
+        records the ``sweep`` span, an ``index_build`` span when this call
+        sorts (never for an index that arrives sorted), per-phase timers
         (``sweep.envelope_update`` plus the engine's endpoint-ordering and
         prefix-sweep phases), and row/envelope counters.  In parallel runs
         each block records into a private recorder whose snapshot is merged
@@ -272,11 +275,11 @@ def sweep_kdv(
     rec = active(recorder)
     xy = np.asarray(xy, dtype=np.float64)
     if ysorted is None:
-        if rec is not None:
-            with rec.span("index_build"):
-                ysorted = YSortedIndex(xy)
-        else:
-            ysorted = YSortedIndex(xy)
+        ysorted = YSortedIndex.deferred(xy)
+    if not ysorted.is_sorted:
+        # only the call that sorts records the build, in either orientation
+        with (rec or NULL_RECORDER).span("index_build"):
+            ysorted.sort()
     sorted_weights = None
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)

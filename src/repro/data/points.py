@@ -5,13 +5,22 @@ world units (meters), with optional per-point event timestamps and categorical
 attribute codes.  Timestamps and categories exist to support the exploratory
 operations of the paper's Section 4.2 (time-based and attribute-based
 filtering); the density algorithms themselves only look at coordinates.
+
+A set keeps what the SLAM methods derive from its coordinates across
+renders: its y-sorted envelope index and its extents, each computed at most
+once.  That is sound because the coordinates are the set's own read-only
+copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # imported at call time: repro.core imports this module
+    from ..core.envelope import YSortedIndex
 
 __all__ = ["PointSet"]
 
@@ -32,7 +41,11 @@ class PointSet:
     Parameters
     ----------
     xy:
-        ``(n, 2)`` array of (x, y) coordinates in projected meters.
+        ``(n, 2)`` array of (x, y) coordinates in projected meters.  The set
+        keeps a private copy (an input it would otherwise alias is copied)
+        and marks it read-only, so the y-sorted index
+        (:meth:`ysorted_index`) and the extents (:meth:`bounds`) it caches
+        can never go stale.
     t:
         Optional ``(n,)`` array of event times (seconds since an arbitrary
         epoch).  Required for time-based filtering.
@@ -48,7 +61,14 @@ class PointSet:
     name: str = field(default="points")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "xy", _as_xy(self.xy))
+        xy = _as_xy(self.xy)
+        # a conversion that allocated is the set's alone; the caller's own
+        # array, or a view of any array, is copied
+        if xy is self.xy or not xy.flags.owndata:
+            xy = xy.copy()
+        xy.flags.writeable = False
+        object.__setattr__(self, "xy", xy)
+        self._drop_caches()
         n = len(self.xy)
         if self.t is not None:
             t = np.asarray(self.t, dtype=np.float64)
@@ -68,6 +88,21 @@ class PointSet:
                 raise ValueError("weights must be finite and non-negative")
             object.__setattr__(self, "w", w)
 
+    def _drop_caches(self) -> None:
+        object.__setattr__(self, "_ysorted", None)
+        object.__setattr__(self, "_extents", None)
+
+    def __getstate__(self) -> dict:
+        # the caches are rebuilt on demand on the far side
+        state = dict(self.__dict__)
+        del state["_ysorted"], state["_extents"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.xy.flags.writeable = False  # unpickled arrays come back writable
+        self._drop_caches()
+
     def __len__(self) -> int:
         return len(self.xy)
 
@@ -82,12 +117,36 @@ class PointSet:
         return self.xy[:, 1]
 
     def bounds(self) -> tuple[float, float, float, float]:
-        """Return the minimum bounding rectangle ``(xmin, ymin, xmax, ymax)``."""
+        """The minimum bounding rectangle ``(xmin, ymin, xmax, ymax)``,
+        computed once and kept.
+
+        These are the raw extents: unlike
+        :meth:`~repro.viz.region.Region.from_points`, a degenerate axis is
+        not widened (:meth:`~repro.viz.region.Region.from_extents` does
+        that, from these same floats).
+        """
         if len(self) == 0:
             raise ValueError("cannot compute bounds of an empty PointSet")
-        xmin, ymin = self.xy.min(axis=0)
-        xmax, ymax = self.xy.max(axis=0)
-        return float(xmin), float(ymin), float(xmax), float(ymax)
+        if self._extents is None:
+            from ..viz.region import column_extents
+
+            object.__setattr__(self, "_extents", column_extents(self.xy))
+        return self._extents
+
+    def ysorted_index(self) -> "YSortedIndex":
+        """The set's y-sorted envelope index, kept for the set's lifetime.
+
+        :func:`~repro.core.api.compute_kdv` hands it to the SLAM methods.
+        It is created without sorting: the sort runs on first use, in the
+        orientation the sweep reads (this index for a row sweep, its
+        :meth:`~repro.core.envelope.YSortedIndex.transposed` twin for an
+        RAO column sweep), and later renders reuse it.
+        """
+        if self._ysorted is None:
+            from ..core.envelope import YSortedIndex
+
+            object.__setattr__(self, "_ysorted", YSortedIndex.deferred(self.xy))
+        return self._ysorted
 
     def select(self, mask: np.ndarray) -> "PointSet":
         """Return a new :class:`PointSet` restricted to ``mask`` (bool or index array)."""

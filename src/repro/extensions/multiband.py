@@ -5,11 +5,10 @@ analysts render the same data at several smoothing scales to separate micro
 from macro hotspots.  The paper cites the SAFE framework [17] for sharing
 work across bandwidths; with SLAM the dominant sharable cost is the y-sort
 of the dataset, which is identical for every bandwidth.  This module batches
-the computation so that sort happens once.
-
-Only the non-RAO sweeps can share the index (RAO may transpose, which needs
-the other coordinate's sort — :func:`compute_multiband` builds both sorts at
-most once each).
+the computation so that sort happens once, in the orientation the sweep
+reads (RAO may transpose, which needs the other coordinate's sort).  A
+:class:`~repro.data.points.PointSet` keeps that sort across calls, so a
+repeat batch over the same set sorts nothing.
 """
 
 from __future__ import annotations
@@ -73,10 +72,14 @@ def compute_multiband(
     if isinstance(points, PointSet):
         xy = points.xy
         weights = points.w
+        ysorted = points.ysorted_index()
+        if region is None:
+            region = Region.from_extents(*points.bounds())
     else:
         xy = np.asarray(points, dtype=np.float64)
-    if region is None:
-        region = Region.from_points(xy)
+        ysorted = YSortedIndex.deferred(xy)
+        if region is None:
+            region = Region.from_points(xy)
     raster = Raster(region, *size)
     kernel_obj = get_kernel(kernel)
     grid_fn = _VARIANTS[variant][engine]
@@ -85,11 +88,10 @@ def compute_multiband(
     if transpose:
         sweep_xy = xy[:, ::-1]
         sweep_raster = raster.transposed()
+        ysorted = ysorted.transposed()
     else:
         sweep_xy = xy
         sweep_raster = raster
-    # the shared preprocessing: one y-sort for every bandwidth
-    ysorted = YSortedIndex(sweep_xy)
 
     total_mass = float(weights.sum()) if weights is not None else float(len(xy))
     results = []

@@ -55,7 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..baselines.zorder import epsilon_for
-from ..core.api import compute_kdv
+from ..core.api import PARALLEL_METHODS, compute_kdv
+from ..core.envelope import YSortedIndex
 from ..extensions.progressive import upsample_preview
 from ..index.zorder_curve import zorder_argsort
 
@@ -371,6 +372,9 @@ def calibrate(
         for tier in policy.ladder()[1:]:
             bounds[tier.name] = policy.error_floor
         return bounds
+    # the exact render and every pyramid rung share one sort
+    ysorted = YSortedIndex.deferred(xy) if method in PARALLEL_METHODS else None
+    kwargs = {} if ysorted is None else {"ysorted": ysorted}
     exact = compute_kdv(
         xy,
         region=region,
@@ -379,6 +383,7 @@ def calibrate(
         bandwidth=bandwidth,
         method=method,
         normalization="none",
+        **kwargs,
     ).grid
     peak = float(exact.max())
     for tier in policy.ladder()[1:]:
@@ -386,6 +391,7 @@ def calibrate(
             approx = pyramid_grid(
                 xy, region, size, level=tier.param,
                 bandwidth=bandwidth, kernel=kernel, method=method,
+                ysorted=ysorted,
             )
         else:
             approx = coreset_grid(

@@ -112,10 +112,12 @@ def render_tile(
     The computation uses the full dataset (SLAM's per-row envelope already
     skips everything farther than ``b`` from each row), so tile edges carry
     the correct contribution from neighbors and the pyramid is seamless.
-    Pass a pre-built ``ysorted`` index over the same points to skip the
-    per-tile O(n log n) sort — every tile of a pyramid shares one dataset,
-    so one index serves them all (:class:`TileRenderer` does this
-    automatically).
+    Every tile of a pyramid shares one dataset, so one y-sorted index
+    serves them all.  A :class:`~repro.data.points.PointSet` brings its own
+    (:meth:`~repro.data.points.PointSet.ysorted_index`, sorted on its
+    first render); for a raw array, pass a pre-built ``ysorted`` index over
+    that same array to skip the per-tile O(n log n) sort
+    (:class:`TileRenderer` does this automatically).
 
     ``backend``/``coordinator`` select the sweep's execution backend for the
     SLAM methods (``backend="dist"`` with a :class:`repro.dist.Coordinator`

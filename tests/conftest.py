@@ -38,6 +38,23 @@ def small_points(rng: np.random.Generator) -> PointSet:
     return PointSet(xy, t=t, category=category, name="fixture")
 
 
+@pytest.fixture
+def sorts(monkeypatch) -> list:
+    """The lengths of every y-sort (``YSortedIndex`` build) run while the
+    test runs."""
+    from repro.core import envelope
+
+    calls = []
+    real = envelope._stable_argsort
+
+    def counting(values):
+        calls.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(envelope, "_stable_argsort", counting)
+    return calls
+
+
 def reference_grid(
     xy: np.ndarray, raster: Raster, kernel_name: str, bandwidth: float
 ) -> np.ndarray:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro import (
     APPROXIMATE_METHODS,
     EXACT_METHODS,
     KDVResult,
+    PointSet,
     Raster,
     Region,
     compute_kdv,
@@ -308,3 +312,70 @@ class TestErrorPaths:
                               normalization=normalization)
             assert np.all(res.grid == 0.0)
             assert res.normalization == normalization
+
+
+class TestPointSetIndexReuse:
+    """A PointSet sorts once per sweep orientation for its lifetime; every
+    later SLAM render reuses that sort and returns the raw-array bits."""
+
+    @pytest.mark.parametrize("kernel", ("uniform", "epanechnikov", "quartic"))
+    @pytest.mark.parametrize(
+        "size", ((36, 24), (24, 36)), ids=("landscape", "portrait")
+    )
+    @pytest.mark.parametrize("weighted", (False, True))
+    @pytest.mark.parametrize("engine", ("auto", "numpy"))
+    def test_repeat_render_sorts_nothing(
+        self, kernel, size, weighted, engine, small_xy, sorts
+    ):
+        w = np.random.default_rng(3).uniform(0.5, 2.0, len(small_xy))
+        w = w if weighted else None
+        ps = PointSet(small_xy, w=w)
+        kw = dict(size=size, kernel=kernel, bandwidth=9.0, engine=engine)
+        compute_kdv(ps, **kw)
+        assert sorts == [len(small_xy)]
+        again = compute_kdv(ps, collect_stats=True, **kw)
+        assert sorts == [len(small_xy)]
+        assert "index_build" not in again.stats.phases
+        raw = compute_kdv(small_xy, weights=w, **kw).grid
+        assert again.grid.tobytes() == raw.tobytes()
+
+    def test_one_shot_portrait_render_sorts_once(self, small_xy, sorts):
+        ps = PointSet(small_xy)
+        result = compute_kdv(ps, size=(24, 36), bandwidth=9.0,
+                             collect_stats=True)
+        assert result.stats.orientation == "columns"
+        assert sorts == [len(small_xy)]
+        assert result.stats.phases["index_build"] > 0.0
+        index = ps.ysorted_index()
+        assert index.transposed().is_sorted and not index.is_sorted
+
+    def test_non_slam_methods_leave_the_index_alone(self, small_xy, sorts):
+        ps = PointSet(small_xy)
+        compute_kdv(ps, size=(24, 18), bandwidth=9.0, method="scan")
+        assert sorts == [] and ps._ysorted is None
+
+    def test_concurrent_first_renders_agree(self, small_xy):
+        """Four threads race to create and sort one fresh set's index (and
+        its transposed twin); every grid still equals the raw-array one."""
+        ps = PointSet(small_xy)
+        kw = dict(size=(24, 36), bandwidth=9.0)
+        barrier = threading.Barrier(4)
+        grids = [None] * 4
+
+        def render(i):
+            barrier.wait(timeout=30.0)
+            grids[i] = compute_kdv(ps, **kw).grid
+
+        threads = [threading.Thread(target=render, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        expected = compute_kdv(small_xy, **kw).grid.tobytes()
+        assert all(g is not None and g.tobytes() == expected for g in grids)

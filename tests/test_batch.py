@@ -683,6 +683,56 @@ class TestYSortedReuse:
             compute_kdv(cluster_xy, size=(8, 8), bandwidth=5.0,
                         method="slam_bucket", ysorted=idx)
 
+    def test_api_rejects_index_over_other_points(self):
+        """Same length, other coordinates: the index is refused rather than
+        rendering the other points' density."""
+        rng = np.random.default_rng(500)
+        a = rng.uniform((0.0, 0.0), (100.0, 80.0), (500, 2))
+        b = rng.uniform((0.0, 0.0), (100.0, 80.0), (500, 2))
+        with pytest.raises(ValueError, match="other coordinates than these 500"):
+            compute_kdv(b, size=(64, 48), bandwidth=9.0, ysorted=YSortedIndex(a))
+
+    def test_api_accepts_index_over_an_equal_copy(self, cluster_xy):
+        kw = dict(size=(24, 18), bandwidth=9.0, method="slam_bucket")
+        idx = YSortedIndex(cluster_xy.copy())
+        assert np.array_equal(
+            compute_kdv(cluster_xy, ysorted=idx, **kw).grid,
+            compute_kdv(cluster_xy, **kw).grid,
+        )
+
+    def test_caller_index_twin_sort_is_recorded_once(self, cluster_xy):
+        """The column sweep that sorts a caller index's twin records the
+        sort as ``index_build``; the next column sweep records none."""
+        idx = YSortedIndex(cluster_xy)
+        kw = dict(size=(30, 40), bandwidth=9.0, ysorted=idx, collect_stats=True)
+        first = compute_kdv(cluster_xy, **kw)
+        assert first.stats.orientation == "columns"
+        assert "index_build" in first.stats.phases
+        assert "index_build" not in compute_kdv(cluster_xy, **kw).stats.phases
+
+    def test_pickle_leaves_the_twin_behind(self, cluster_xy):
+        """A pickled index ships ``xy``, ``order`` and ``sorted_xy`` only:
+        not the transposed twin, which the far side rebuilds on demand."""
+        import pickle
+
+        idx = YSortedIndex(cluster_xy)
+        size = len(pickle.dumps(idx))
+        assert size < 2.5 * cluster_xy.nbytes + 1024
+        idx.transposed().sort()
+        assert len(pickle.dumps(idx)) == size
+        clone = pickle.loads(pickle.dumps(idx))
+        assert clone._transposed is None
+        assert clone.transposed().transposed() is clone
+        np.testing.assert_array_equal(clone.sorted_y, idx.sorted_y)
+        np.testing.assert_array_equal(
+            clone.transposed().sorted_xy, idx.transposed().sorted_xy
+        )
+        deferred = YSortedIndex.deferred(cluster_xy)
+        assert len(pickle.dumps(deferred)) < cluster_xy.nbytes + 1024
+        np.testing.assert_array_equal(
+            pickle.loads(pickle.dumps(deferred)).order, idx.order
+        )
+
     def test_api_rejects_index_for_non_slam_method(self, cluster_xy):
         idx = YSortedIndex(cluster_xy)
         with pytest.raises(ValueError, match="SLAM methods"):

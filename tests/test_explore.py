@@ -142,6 +142,20 @@ class TestSession:
         )
         np.testing.assert_allclose(res.grid, direct.grid, rtol=1e-12)
 
+    def test_frames_after_the_first_sort_nothing(self, session, small_points, sorts):
+        """Zooms, pans, bandwidth changes and a cleared filter reuse the
+        dataset's index; only the filtered subset sorts its own."""
+        session.render()
+        session.zoom(0.5)
+        session.pan(0.2, -0.1)
+        session.set_bandwidth(12.0)
+        assert sorts == [len(small_points)]
+        session.filter_category(1)
+        subset = len(session.active_points)
+        session.clear_filters()
+        session.reset_view()
+        assert sorts == [len(small_points), subset]
+
     def test_latency_summary(self, session):
         assert session.latency_summary()["frames"] == 0
         session.render()

@@ -88,3 +88,91 @@ class TestOperations:
     def test_immutability(self, small_points):
         with pytest.raises(AttributeError):
             small_points.xy = np.zeros((1, 2))
+
+
+class TestFrozenCoordinates:
+    def test_xy_is_read_only(self, small_points):
+        with pytest.raises(ValueError, match="read-only"):
+            small_points.xy[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            small_points.x[0] = 0.0
+
+    def test_source_array_is_not_aliased(self, rng):
+        from repro import compute_kdv
+
+        xy = rng.uniform((0.0, 0.0), (100.0, 80.0), (300, 2))
+        original = xy.copy()
+        ps = PointSet(xy)
+        kw = dict(size=(24, 18), bandwidth=9.0)
+        before = compute_kdv(ps, **kw).grid
+        xy[:150] += 40.0
+        assert np.array_equal(ps.xy, original)
+        assert np.array_equal(compute_kdv(ps, **kw).grid, before)
+        assert np.array_equal(compute_kdv(original, **kw).grid, before)
+
+    def test_fresh_arrays_are_kept_without_a_copy(self):
+        ps = PointSet([[1.0, 2.0], [3.0, 4.0]])
+        assert ps.xy.flags.owndata and not ps.xy.flags.writeable
+
+    def test_pickle_drops_caches_and_refreezes(self, small_points):
+        import pickle
+
+        from repro import compute_kdv
+
+        size = len(pickle.dumps(small_points))
+        first = compute_kdv(small_points, size=(24, 36), bandwidth=9.0).grid
+        small_points.bounds()
+        assert len(pickle.dumps(small_points)) == size
+        clone = pickle.loads(pickle.dumps(small_points))
+        assert not clone.xy.flags.writeable
+        assert clone._ysorted is None and clone._extents is None
+        again = compute_kdv(clone, size=(24, 36), bandwidth=9.0).grid
+        assert np.array_equal(again, first)
+
+
+class TestCachedBounds:
+    @pytest.mark.parametrize(
+        "xy",
+        [
+            np.random.default_rng(5).normal(1e6, 300.0, (500, 2)),
+            np.array([[3.5, -2.0]]),
+            np.column_stack([np.linspace(0.0, 9.0, 10), np.full(10, 4.0)]),
+            np.column_stack([np.full(7, -1.0), np.arange(7.0)]),
+        ],
+        ids=("random", "single", "collinear_x", "collinear_y"),
+    )
+    def test_per_column_extents(self, xy):
+        bounds = PointSet(xy).bounds()
+        assert bounds == (
+            xy[:, 0].min(), xy[:, 1].min(), xy[:, 0].max(), xy[:, 1].max()
+        )
+        assert all(type(v) is float for v in bounds)
+
+    def test_computed_once(self, small_points):
+        assert small_points.bounds() is small_points.bounds()
+
+    def test_region_from_extents_matches_from_points(self, small_points):
+        from repro import Region
+
+        for xy in (small_points.xy, np.array([[3.5, -2.0]])):
+            assert Region.from_extents(*PointSet(xy).bounds()) == \
+                Region.from_points(xy)
+
+
+class TestSubsetIndexes:
+    @pytest.mark.parametrize("how", ("select", "filter_time"))
+    def test_subset_renders_equal_a_fresh_set(self, how, small_points):
+        from repro import compute_kdv
+
+        kw = dict(size=(20, 30), bandwidth=8.0)
+        compute_kdv(small_points, **kw)  # the parent set's index is built
+        if how == "select":
+            sub = small_points.select(small_points.x < 60.0)
+        else:
+            sub = small_points.filter_time(100.0, 700.0)
+        assert 0 < len(sub) < len(small_points)
+        assert sub.ysorted_index() is not small_points.ysorted_index()
+        fresh = PointSet(np.array(sub.xy), t=sub.t, category=sub.category)
+        assert np.array_equal(
+            compute_kdv(sub, **kw).grid, compute_kdv(fresh, **kw).grid
+        )

@@ -25,6 +25,14 @@ class TestProgressive:
             (48, 64),
         ]
 
+    def test_levels_share_one_sort(self, city, sorts):
+        from repro import PointSet
+
+        ps = PointSet(city.xy)
+        list(progressive_kdv(ps, size=(64, 48), levels=4, bandwidth=800.0))
+        list(progressive_kdv(ps, size=(64, 48), levels=2, bandwidth=400.0))
+        assert sorts == [len(ps)]
+
     def test_final_level_is_exact_full_resolution(self, city):
         levels = list(progressive_kdv(city, size=(32, 24), levels=3, bandwidth=800.0))
         direct = compute_kdv(city, size=(32, 24), bandwidth=800.0)
@@ -93,6 +101,24 @@ class TestMultiband:
             direct = compute_kdv(city, size=(12, 40), bandwidth=res.bandwidth)
             np.testing.assert_allclose(res.grid, direct.grid, rtol=1e-9, atol=1e-12)
             assert res.grid.shape == (40, 12)
+
+    def test_repeat_batch_on_a_pointset_sorts_nothing(self, city, sorts):
+        """The batch shares the PointSet's index with compute_kdv: after the
+        first batch sorts (the column key, for this tall raster), neither a
+        second batch nor a compute_kdv call sorts again."""
+        from repro import PointSet
+
+        ps = PointSet(city.xy)
+        first = compute_multiband(ps, self.BANDS, size=(12, 40))
+        assert sorts == [len(ps)]
+        second = compute_multiband(ps, self.BANDS, size=(12, 40))
+        direct = compute_kdv(ps, size=(12, 40), bandwidth=self.BANDS[0])
+        assert sorts == [len(ps)]
+        for a, b in zip(first, second):
+            assert np.array_equal(a.grid, b.grid)
+        raw = compute_multiband(city.xy, self.BANDS[:1], size=(12, 40))
+        assert np.array_equal(raw[0].grid, first[0].grid)
+        np.testing.assert_allclose(first[0].grid, direct.grid, rtol=1e-9, atol=1e-12)
 
     def test_rao_disabled(self, city):
         results = compute_multiband(city, [900.0], size=(12, 40), rao=False)
