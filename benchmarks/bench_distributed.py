@@ -61,7 +61,7 @@ _balance_ratios: dict[str, float] = {}
 _STARTED = time.perf_counter()
 
 METHOD = "slam_bucket"
-ENGINE = "numpy_batch"
+ENGINE = "auto"
 BANDWIDTH = 250.0
 
 

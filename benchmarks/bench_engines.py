@@ -1,31 +1,25 @@
-"""SLAM engine shootout: python vs numpy_rows vs numpy vs native.
+"""SLAM engine shootout: python vs numpy vs native.
 
 Measures the ``slam_bucket`` engines over a grid of resolutions and
 dataset sizes on the clustered benchmark workload, serial, with the y-sorted
 index prebuilt outside the timed region — so each cell times exactly the
-sweep the engine owns.  ``numpy`` is the block-vectorized engine
-(``numpy_batch`` is its alias, so it is not timed twice); ``numpy_rows`` is
-the per-row vectorized Algorithm 2 (``slam_bucket_row_numpy``, the test
-oracle ``numpy`` is pinned to) driven by the per-row sweep loop.  Every
-cell reports min-of-repeats wall clock and rows/sec; the speedup column
-relative to ``numpy_rows`` quantifies what the block-vectorized engine
-buys.
+sweep the engine owns.  ``numpy`` is the per-row vectorized Algorithm 2
+(``slam_bucket_row_numpy``, the oracle ``native`` is pinned to) driven by
+the per-row sweep loop.  Every cell reports min-of-repeats wall clock and
+rows/sec, and the speedup relative to ``numpy``.
 
 Where the extension loaded (it compiles on first import), the fused-C
 ``native`` engine joins the grid (serial, plus an OpenMP ``native@<T>T``
 cell when the machine has more than one CPU — see ``docs/native.md``);
 hosts without it simply skip it.
 
-The headline cell is ``numpy`` vs ``numpy_rows`` at 1280x960, n = 100k,
-Epanechnikov, bandwidth 15 (a sharp-hotspot bandwidth, ~4 px — the
-per-row-overhead-dominated regime the block engine targets), which should
-reach >= 3x.  Larger bandwidths shrink the ratio — by ~200 px-scale
-bandwidths both engines are DRAM-bound on the same pair stream and the
-speedup approaches 1x; ``docs/benchmarks.md`` documents that crossover.
+The headline cell is ``native`` vs ``numpy`` at 1280x960, n = 100k,
+Epanechnikov, bandwidth 15 (a sharp-hotspot bandwidth, ~4 px, where the
+per-row loop's interpreter overhead dominates ``numpy``).
 
 The per-engine timings are directly comparable because the engines are
-bit-identical (numpy, numpy_rows, native) or float-close (python): they do
-the same work, only dispatched differently.
+bit-identical (numpy, native) or float-close (python): they do the same
+work, only dispatched differently.
 
 Knobs (environment variables, all optional):
 
@@ -66,21 +60,11 @@ from repro.core.envelope import YSortedIndex
 from repro.core.kernels import get_kernel
 from repro.core.engines import slam_bucket_grid
 from repro.core.native import NATIVE_AVAILABLE
-from repro.core.slam_bucket import slam_bucket_row_numpy
-from repro.core.sweep import RowSweep, make_grid_function
 from repro.viz.region import Raster, Region
 
-#: Timed grid functions by cell label: the registered engines minus the
-#: ``numpy_batch`` alias, plus the per-row oracle as ``numpy_rows``.
-GRIDS = {
-    "numpy_rows": make_grid_function(
-        RowSweep("slam_bucket_row_numpy", slam_bucket_row_numpy)
-    ),
-    **{e: fn for e, fn in slam_bucket_grid.items() if e != "numpy_batch"},
-}
-ENGINES = ("python", "numpy_rows", "numpy") + (
-    ("native",) if NATIVE_AVAILABLE else ()
-)
+ENGINES = ("python", "numpy") + (("native",) if NATIVE_AVAILABLE else ())
+#: Timed grid functions by cell label.
+GRIDS = {engine: slam_bucket_grid[engine] for engine in ENGINES}
 
 #: Interpreter-overhead multiplier for the python engine's cost estimate
 #: (pure-Python per-point loops vs vectorized passes), used only for the
@@ -169,18 +153,18 @@ def _report():
     yield
     if not _cells:
         return
-    headers = ["X x Y", "n", "engine", "seconds", "rows/s", "vs numpy_rows"]
+    headers = ["X x Y", "n", "engine", "seconds", "rows/s", "vs numpy"]
     rows = []
     for width in _resolutions():
         height = max(1, (width * 3) // 4)
         for n in _point_counts():
-            rows_t = _cells.get(("numpy_rows", width, n))
+            numpy_t = _cells.get(("numpy", width, n))
             for engine, threads in _engine_cells():
                 label = _cell_label(engine, threads)
                 t = _cells.get((label, width, n))
                 if t is None:
                     continue
-                rel = f"{rows_t / t:.2f}x" if rows_t else "-"
+                rel = f"{numpy_t / t:.2f}x" if numpy_t else "-"
                 rows.append([
                     f"{width}x{height}", f"{n:,}", label, f"{t:.3f}",
                     f"{_rows_per_sec[(label, width, n)]:,.0f}", rel,
@@ -211,20 +195,16 @@ def _report_meta() -> dict:
             for (e, w, n), rps in sorted(_rows_per_sec.items())
         },
     }
-    # headline speedups at the largest cell: the default block engine vs
-    # the per-row oracle, and (on compiled checkouts) native vs numpy
+    # headline speedups at the largest cell (on compiled checkouts):
+    # native vs numpy, and OpenMP vs serial native
     width, n = max(_resolutions()), max(_point_counts())
-    rows_t = _cells.get(("numpy_rows", width, n))
     numpy_t = _cells.get(("numpy", width, n))
-    if rows_t and numpy_t:
-        meta["headline_cell"] = {
-            "resolution": width, "n": n,
-            "speedup_numpy_vs_numpy_rows": rows_t / numpy_t,
-        }
     native_t = _cells.get(("native", width, n))
     if numpy_t and native_t:
-        meta.setdefault("headline_cell", {"resolution": width, "n": n})
-        meta["headline_cell"]["speedup_native_vs_numpy"] = numpy_t / native_t
+        meta["headline_cell"] = {
+            "resolution": width, "n": n,
+            "speedup_native_vs_numpy": numpy_t / native_t,
+        }
         omp_t = _cells.get(
             (_cell_label("native", _native_threads()), width, n)
         )
@@ -282,8 +262,8 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument(
         "--engines",
         default=None,
-        help="comma-separated engines (default: python,numpy_rows,numpy, "
-        "plus native on compiled checkouts)",
+        help="comma-separated engines (default: python,numpy, plus native "
+        "on compiled checkouts)",
     )
     ns = parser.parse_args(argv)
     if ns.json:
@@ -322,18 +302,15 @@ def main(argv: "list[str] | None" = None) -> int:
                       f"{seconds:7.3f}s  {rps:,.0f} rows/s")
     report.meta.update(_report_meta())
     headline = report.meta.get("headline_cell") or {}
-    if "speedup_numpy_vs_numpy_rows" in headline:
-        print(f"\nnumpy speedup over numpy_rows at the headline cell: "
-              f"{headline['speedup_numpy_vs_numpy_rows']:.2f}x")
     if "speedup_native_vs_numpy" in headline:
-        print(f"native speedup over numpy at the headline cell: "
+        print(f"\nnative speedup over numpy at the headline cell: "
               f"{headline['speedup_native_vs_numpy']:.2f}x")
     # one instrumented run of the default engine so the report carries a
     # phase profile
     recorder = Recorder()
     width, n = max(_resolutions()), max(_point_counts())
     xy, raster, ysorted = build_workload(width, n)
-    GRIDS["numpy"](
+    slam_bucket_grid["auto"](
         xy, raster, get_kernel("epanechnikov"), _bandwidth(),
         ysorted=ysorted, recorder=recorder,
     )

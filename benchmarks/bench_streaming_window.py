@@ -44,7 +44,7 @@ from repro.viz.region import Region
 REGION = Region(0.0, 0.0, 10_000.0, 8_000.0)
 BANDWIDTH = 400.0
 METHOD = "slam_bucket_rao"
-ENGINE = "numpy_batch"
+ENGINE = "auto"
 
 
 def _knob(name: str, default: str) -> str:

@@ -177,16 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     # selecting it then raises the unknown-engine error naming the engines
     # that ARE available (tested by tests/test_native.py).
     p_compute.add_argument("--engine", default="auto",
-                           choices=("auto", "python", "numpy", "numpy_batch",
-                                    "native"),
+                           choices=("auto", "python", "numpy", "native"),
                            help="SLAM sweep engine: auto (default; native "
                                 "where the extension loaded, else numpy), "
-                                "python (pseudocode), numpy (block-"
-                                "vectorized under the slam_bucket methods, "
-                                "per-row under slam_sort), numpy_batch "
-                                "(alias of the bucket numpy engine), or "
-                                "native (fused C loop + OpenMP, compiled on "
-                                "first import -- see docs/native.md)")
+                                "python (pseudocode), numpy (per-row "
+                                "vectorized), or native (fused C loop + "
+                                "OpenMP, compiled on first import -- see "
+                                "docs/native.md)")
     p_compute.add_argument("--workers", type=_parse_workers, default=1,
                            help="row-sweep workers for SLAM methods: a count "
                                 "or 'auto' (default 1, serial)")
@@ -389,8 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=PARALLEL_METHODS,
                         help="SLAM method (the distributable ones)")
     p_dist.add_argument("--engine", default="auto",
-                        choices=("auto", "python", "numpy", "numpy_batch",
-                                 "native"))
+                        choices=("auto", "python", "numpy", "native"))
     p_dist.add_argument("--colormap", default="heat",
                         choices=("heat", "viridis", "gray"))
     p_dist.add_argument("--stats", action="store_true",

@@ -170,17 +170,16 @@ def compute_kdv(
         One of :func:`method_names`.
     engine:
         ``"auto"`` (default), ``"python"`` (literal transcription of the
-        published pseudocode), ``"numpy"``, ``"numpy_batch"``, or
-        ``"native"`` — the method's engines in :mod:`repro.core.engines`.
-        ``"native"`` (bucket methods only) is a fused C loop with OpenMP
-        row parallelism, compiled on first import; it is registered only
-        where the extension loaded — see :mod:`repro.core.native` and
-        ``docs/native.md``.  Under the bucket methods ``"numpy"`` sweeps
-        whole row blocks in O(1) array calls (see :mod:`repro.core.batch`),
-        bit-identical to ``"native"``, and ``"numpy_batch"`` is its alias;
-        under ``slam_sort`` it is the per-row vectorized sort.  ``"auto"``
-        is ``"native"`` where it is registered and ``"numpy"`` otherwise,
-        so the default returns the same bits on every host.
+        published pseudocode), ``"numpy"``, or ``"native"`` — the method's
+        engines in :mod:`repro.core.engines`.  ``"native"`` (bucket methods
+        only) is a fused C loop with OpenMP row parallelism, compiled on
+        first import; it is registered only where the extension loaded —
+        see :mod:`repro.core.native` and ``docs/native.md``.  ``"numpy"``
+        is the per-row vectorized algorithm: under the bucket methods it is
+        the oracle ``"native"`` is bit-identical to, under ``slam_sort`` the
+        vectorized sort.  ``"auto"`` is ``"native"`` where it is registered
+        and ``"numpy"`` otherwise, so the default returns the same bits on
+        every host.
     normalization:
         ``"none"`` (raw kernel sums, w = 1), ``"count"`` (w = 1/n, default;
         1/total-weight for weighted datasets), or ``"density"`` (proper 2-D

@@ -16,9 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .batch import NumpyBatchEngine
 from .native import NATIVE_AVAILABLE, NativeEngine, native_grid
-from .slam_bucket import slam_bucket_row_python
+from .slam_bucket import slam_bucket_row_numpy, slam_bucket_row_python
 from .slam_sort import slam_sort_row_numpy, slam_sort_row_python
 from .sweep import RowSweep, make_grid_function
 
@@ -27,16 +26,15 @@ __all__ = ["ENGINES", "NATIVE", "get_engine", "slam_sort_grid", "slam_bucket_gri
 #: Wire name of the compiled engine, registered only when it imported.
 NATIVE = NativeEngine.name
 
-#: Wire name -> engine.  ``slam_bucket.numpy`` is the block sweep of
-#: :mod:`repro.core.batch`; the per-row ``slam_bucket_row_numpy`` it is
-#: pinned to stays a test oracle and is not registered.
+#: Wire name -> engine.  ``slam_bucket.numpy`` is the per-row vectorized
+#: Algorithm 2, the oracle the compiled engine is pinned to bit for bit.
 ENGINES = {
     engine.name: engine
     for engine in (
         RowSweep("slam_sort.python", slam_sort_row_python),
         RowSweep("slam_sort.numpy", slam_sort_row_numpy),
         RowSweep("slam_bucket.python", slam_bucket_row_python),
-        NumpyBatchEngine(),
+        RowSweep("slam_bucket.numpy", slam_bucket_row_numpy),
     )
 }
 if NATIVE_AVAILABLE:
@@ -48,7 +46,8 @@ def get_engine(name: str, threads: int = 1):
     if it has any.  Raises ``KeyError`` for an unregistered name.
 
     ``slam_bucket.native`` resolves even where the extension is not
-    compiled: it gets the numpy block engine, which computes the same bits.
+    compiled: it gets the per-row ``numpy`` engine, which computes the same
+    bits.
     """
     if name == NATIVE and not NATIVE_AVAILABLE:
         return ENGINES["slam_bucket.numpy"]
@@ -70,12 +69,13 @@ def _method_table(method: str) -> "dict[str, Callable[..., np.ndarray]]":
 slam_sort_grid = _method_table("slam_sort")
 slam_sort_grid["auto"] = slam_sort_grid["numpy"]
 
-#: Grid-level SLAM_BUCKET (Algorithm 2) by engine.  ``numpy_batch`` is an
-#: alias of ``numpy``, and the ``native`` entry maps ``workers`` to OpenMP
-#: threads (see :func:`repro.core.native.native_grid`).  ``auto``, the
-#: default everywhere, is ``native`` where the extension loaded and the
-#: bit-identical ``numpy`` block engine otherwise.
+#: Grid-level SLAM_BUCKET (Algorithm 2) by engine.  The ``native`` entry
+#: maps ``workers`` to OpenMP threads (see
+#: :func:`repro.core.native.native_grid`).  ``auto``, the default
+#: everywhere, is ``native`` where the extension loaded and the
+#: bit-identical per-row ``numpy`` engine otherwise.
 slam_bucket_grid = _method_table("slam_bucket")
+# perfbench/inproc.py's reference renders name it: the per-row oracle.
 slam_bucket_grid["numpy_batch"] = slam_bucket_grid["numpy"]
 if NATIVE_AVAILABLE:
     slam_bucket_grid["native"] = native_grid

@@ -164,30 +164,6 @@ class Kernel(ABC):
             The kernel bandwidth ``b``.
         """
 
-    def density_from_channel_map(
-        self,
-        qx: np.ndarray,
-        qy: np.ndarray,
-        channels: "dict[int, np.ndarray]",
-        bandwidth: float,
-    ) -> np.ndarray:
-        """Recombine *standalone* channel arrays into the density.
-
-        Same contract as :meth:`density_from_aggregates` but the aggregates
-        arrive as a mapping from channel index to a broadcastable array
-        instead of a stacked ``(..., num_channels)`` tensor, so callers that
-        hold per-channel arrays (the batch sweep engine) need not copy them
-        into one.  A missing key asserts that the channel's aggregate is an
-        exact zero the recombination may skip; the SLAM kernels only ever
-        exercise this with scalar ``qy == 0.0``, where every term weighted by
-        ``qy`` is ``±0.0`` and skipping it preserves values under ``==``.
-        ``density_from_aggregates`` routes through this method, so both entry
-        points evaluate one formula body and agree bit for bit.
-        """
-        raise NotImplementedError(
-            f"kernel {self.name!r} has no aggregate recombination"
-        )
-
     def normalizer(self, bandwidth: float) -> float:
         """The constant that makes the 2-D kernel integrate to one.
 
@@ -213,17 +189,8 @@ class UniformKernel(Kernel):
     def density_from_aggregates(
         self, qx: np.ndarray, qy: np.ndarray, agg: np.ndarray, bandwidth: float
     ) -> np.ndarray:
-        return self.density_from_channel_map(qx, qy, {0: agg[..., 0]}, bandwidth)
-
-    def density_from_channel_map(
-        self,
-        qx: np.ndarray,
-        qy: np.ndarray,
-        channels: "dict[int, np.ndarray]",
-        bandwidth: float,
-    ) -> np.ndarray:
         # F = (1/b) * |R(q)|   (paper Section 3.7)
-        return channels[0] / bandwidth
+        return agg[..., 0] / bandwidth
 
     def rescale_factor(self, bandwidth: float) -> float:
         # K_b = 1/b inside the disc while K_1 evaluates to 1 in the scaled frame.
@@ -248,29 +215,18 @@ class EpanechnikovKernel(Kernel):
     def density_from_aggregates(
         self, qx: np.ndarray, qy: np.ndarray, agg: np.ndarray, bandwidth: float
     ) -> np.ndarray:
-        channels = {0: agg[..., 0], 1: agg[..., 1], 2: agg[..., 2], 3: agg[..., 3]}
-        return self.density_from_channel_map(qx, qy, channels, bandwidth)
-
-    def density_from_channel_map(
-        self,
-        qx: np.ndarray,
-        qy: np.ndarray,
-        channels: "dict[int, np.ndarray]",
-        bandwidth: float,
-    ) -> np.ndarray:
         # F = |R| - (|R| * ||q||^2 - 2 q . A + S) / b^2      (paper Equation 5)
         qx = np.asarray(qx, dtype=np.float64)
-        cnt = channels[0]
-        ax = channels[1]
-        s = channels[3]
+        cnt = agg[..., 0]
+        ax = agg[..., 1]
+        s = agg[..., 3]
         b2 = bandwidth * bandwidth
         if np.ndim(qy) == 0 and float(qy) == 0.0:
             # Row-local frame fast path: every qy-weighted term is exactly
-            # +-0.0, so A.y (channel 2) need not exist — the batch engine
-            # omits it — and the result equals the general branch under
-            # ``==`` (only the signs of zeros can differ).  ``2.0 * x`` and
-            # ``x / 1.0`` are exact, so the reassociations below are bitwise
-            # neutral.
+            # +-0.0, so A.y (channel 2) is not read, and the result equals
+            # the general branch under ``==`` (only the signs of zeros can
+            # differ).  ``2.0 * x`` and ``x / 1.0`` are exact, so the
+            # reassociations below are bitwise neutral.
             inner = cnt * (qx * qx)
             inner -= (2.0 * qx) * ax
             inner += s
@@ -278,7 +234,7 @@ class EpanechnikovKernel(Kernel):
                 inner /= b2
             return cnt - inner
         qy = np.asarray(qy, dtype=np.float64)
-        ay = channels[2]
+        ay = agg[..., 2]
         q2 = qx * qx + qy * qy
         return cnt - (cnt * q2 - 2.0 * (qx * ax + qy * ay) + s) / b2
 
@@ -314,30 +270,20 @@ class QuarticKernel(Kernel):
     def density_from_aggregates(
         self, qx: np.ndarray, qy: np.ndarray, agg: np.ndarray, bandwidth: float
     ) -> np.ndarray:
-        channels = {c: agg[..., c] for c in range(self.num_channels)}
-        return self.density_from_channel_map(qx, qy, channels, bandwidth)
-
-    def density_from_channel_map(
-        self,
-        qx: np.ndarray,
-        qy: np.ndarray,
-        channels: "dict[int, np.ndarray]",
-        bandwidth: float,
-    ) -> np.ndarray:
         qx = np.asarray(qx, dtype=np.float64)
         b2 = bandwidth * bandwidth
         b4 = b2 * b2
-        cnt = channels[0]
-        ax = channels[1]
-        s = channels[3]
-        cx = channels[4]
-        qq = channels[6]
-        mxx = channels[7]
+        cnt = agg[..., 0]
+        ax = agg[..., 1]
+        s = agg[..., 3]
+        cx = agg[..., 4]
+        qq = agg[..., 6]
+        mxx = agg[..., 7]
         if np.ndim(qy) == 0 and float(qy) == 0.0:
             # Row-local frame fast path (see EpanechnikovKernel): the
             # qy-weighted aggregates A.y, C.y, M.xy, M.yy (channels 2, 5,
-            # 8, 9) contribute exactly +-0.0 and need not exist; values
-            # equal the general branch under ``==``.
+            # 8, 9) contribute exactly +-0.0 and are not read; values equal
+            # the general branch under ``==``.
             qx2 = qx * qx
             q_dot_a = qx * ax
             sum_d2 = cnt * qx2 - 2.0 * q_dot_a + s
@@ -353,9 +299,9 @@ class QuarticKernel(Kernel):
                 return cnt - 2.0 * sum_d2 / b2 + sum_d4 / b4
             return cnt - 2.0 * sum_d2 + sum_d4
         qy = np.asarray(qy, dtype=np.float64)
-        ay = channels[2]
-        cy = channels[5]
-        mxy, myy = channels[8], channels[9]
+        ay = agg[..., 2]
+        cy = agg[..., 5]
+        mxy, myy = agg[..., 8], agg[..., 9]
         q2 = qx * qx + qy * qy
         q_dot_a = qx * ax + qy * ay
         sum_d2 = cnt * q2 - 2.0 * q_dot_a + s

@@ -29,7 +29,8 @@ Every failure falls back quietly: no compiler, a compile error, a load
 error, or a cache directory that cannot be written.  This module still
 imports cleanly, :data:`NATIVE_AVAILABLE` is ``False``,
 :data:`NATIVE_ERROR` says why, the ``"native"`` name is not registered in
-the engine tables, and ``"auto"`` runs the bit-identical numpy block engine.
+the engine tables, and ``"auto"`` runs the bit-identical per-row ``numpy``
+engine.
 ``REPRO_BUILD_NATIVE=0`` skips the extension (no load, no compile).  See
 ``docs/native.md``.
 
@@ -45,7 +46,8 @@ thread count to each worker.
 
 Bit-identity: the extension replicates ``slam_bucket_row_numpy``'s exact
 floating-point operand order (see the C source) and is pinned bit-identical
-by ``tests/test_native.py`` and the ``tests/test_batch.py`` parity matrix.
+to it by ``tests/test_native.py`` and the ``tests/test_batch.py`` parity
+matrix.
 """
 
 from __future__ import annotations
@@ -62,11 +64,15 @@ from time import perf_counter
 import numpy as np
 
 from ..obs import Recorder
-from .batch import NumpyBatchEngine
 from .envelope import YSortedIndex
 from .kernels import Kernel
 from .parallel import resolve_workers
-from .sweep import sweep_kdv
+from .sweep import (
+    PHASE_ENDPOINT_BUCKET,
+    PHASE_ENVELOPE_UPDATE,
+    PHASE_PREFIX_SWEEP,
+    sweep_kdv,
+)
 
 _SOURCE = Path(__file__).with_name("_native_sweep.c")
 
@@ -193,8 +199,8 @@ class NativeEngine:
     """Whole-block sweep engine backed by the fused C loop.
 
     Registered as ``slam_bucket.native`` when the extension loaded, and
-    bit-identical to :class:`~repro.core.batch.NumpyBatchEngine` (and to
-    ``slam_bucket_row_numpy``) by the extension's operand-order contract.
+    bit-identical to the per-row ``slam_bucket_row_numpy`` (the
+    ``slam_bucket.numpy`` engine) by the extension's operand-order contract.
     ``threads`` is the OpenMP row-parallelism width for each block; with 1
     (or an OpenMP-less build) the same fused C loop runs serially.
     """
@@ -224,11 +230,11 @@ class NativeEngine:
     ) -> np.ndarray:
         """Compute the pixel-row block ``[start, stop)`` in one C call.
 
-        Same contract as :meth:`NumpyBatchEngine.sweep_block`, including the
-        recorder semantics: counters and phase call counts equal the serial
-        loop's (phase *seconds* reflect the fused loop, which cannot split
-        its time between the bucket and prefix phases — the whole compute is
-        attributed to ``sweep.prefix_sweep``).
+        Same contract as :meth:`repro.core.sweep.RowSweep.sweep_block`,
+        including the recorder semantics: counters and phase call counts
+        equal the per-row loop's (phase *seconds* reflect the fused loop,
+        which cannot split its time between the bucket and prefix phases —
+        the whole compute is attributed to ``sweep.prefix_sweep``).
         """
         if kernel.name not in _KERNEL_IDS:
             raise ValueError(
@@ -273,15 +279,16 @@ class NativeEngine:
             lo = np.searchsorted(ysorted.sorted_y, ks - bandwidth, side="left")
             hi = np.searchsorted(ysorted.sorted_y, ks + bandwidth, side="right")
             counts = hi - lo
-            NumpyBatchEngine._flush_recorder(
-                rec,
-                num_rows,
-                int(np.count_nonzero(counts)),
-                int(counts.sum()),
-                perf_counter() - t1,  # envelope accounting overhead
-                0.0,  # bucket/prefix time is fused; see docstring
-                sweep_seconds,
-            )
+            nonempty_rows = int(np.count_nonzero(counts))
+            rec.count("sweep.rows", num_rows)
+            rec.count("sweep.empty_rows", num_rows - nonempty_rows)
+            rec.count("sweep.envelope_points", int(counts.sum()))
+            # envelope time is the accounting overhead above; bucket and
+            # prefix time are fused (see the docstring)
+            rec.timer(PHASE_ENVELOPE_UPDATE).add(perf_counter() - t1, num_rows)
+            if nonempty_rows:
+                rec.timer(PHASE_ENDPOINT_BUCKET).add(0.0, nonempty_rows)
+                rec.timer(PHASE_PREFIX_SWEEP).add(sweep_seconds, nonempty_rows)
         return out
 
 
@@ -302,8 +309,8 @@ def native_grid(
     serially, reporting ``stats["backend"] == "openmp"`` when it used more
     than one thread.  ``backend="dist"`` shards across a
     :class:`repro.dist.Coordinator` pool as usual, each worker running the
-    native engine (or its bit-identical ``numpy`` block-engine fallback when
-    the worker's checkout has no compiled extension).  Other keyword
+    native engine (or the bit-identical per-row ``numpy`` engine when the
+    worker's checkout has no compiled extension).  Other keyword
     arguments pass through to :func:`repro.core.sweep.sweep_kdv`.
     """
     threads = resolve_workers(workers)

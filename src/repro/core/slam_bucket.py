@@ -23,9 +23,9 @@ correction against the actual pixel coordinates, which restores the exact
 single step suffices.
 
 :mod:`repro.core.engines` registers :func:`slam_bucket_row_python` as the
-``slam_bucket.python`` engine.  :func:`slam_bucket_row_numpy` is the per-row
-oracle that the block engines (``slam_bucket.numpy``, ``slam_bucket.native``)
-are pinned to bit for bit.
+``slam_bucket.python`` engine and :func:`slam_bucket_row_numpy` as the
+``slam_bucket.numpy`` engine, the oracle the compiled ``slam_bucket.native``
+is pinned to bit for bit.
 """
 
 from __future__ import annotations

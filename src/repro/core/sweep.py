@@ -14,11 +14,10 @@ Every engine is one kind of object: a ``name`` (its wire name, registered in
 :mod:`repro.core.engines`), a ``threads`` count, and a ``sweep_block`` method
 that computes a contiguous row block.  The per-row functions of
 :mod:`repro.core.slam_sort` and :mod:`repro.core.slam_bucket` become engines
-through the :class:`RowSweep` adapter; the block engines
-(:class:`repro.core.batch.NumpyBatchEngine`,
-:class:`repro.core.native.NativeEngine`) compute whole blocks at once.
-:func:`sweep_kdv`, the process executor and the dist workers all just call
-``engine.sweep_block``.
+through the :class:`RowSweep` adapter; the compiled
+:class:`repro.core.native.NativeEngine` computes a whole block in one C
+call.  :func:`sweep_kdv`, the process executor and the dist workers all
+just call ``engine.sweep_block``.
 
 Numerical conditioning
 ----------------------
@@ -70,7 +69,7 @@ __all__ = [
 
 # Observability phase names shared by the sweep driver and the engines
 # (see docs/observability.md).  They live here — the one module every
-# engine already imports — so the row functions and the block engines can
+# engine already imports — so the row functions and the native engine can
 # share them without circular imports; ``slam_sort`` / ``slam_bucket``
 # re-export them for compatibility.
 PHASE_ENVELOPE_UPDATE = "sweep.envelope_update"

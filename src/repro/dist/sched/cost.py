@@ -10,8 +10,8 @@ time is modelled as::
 with one coefficient vector per *engine key* — the engine's registry name,
 plus its OpenMP width when it runs more than one thread
 (``slam_bucket.numpy``, ``slam_sort.numpy``, ``slam_bucket.native@4``):
-engines have wildly different per-pair costs (native is ~6x cheaper than
-the numpy block sweep).  ``pairs`` is the band's envelope-pair count
+engines have wildly different per-pair costs (native is 8-28x cheaper
+than the per-row numpy sweep).  ``pairs`` is the band's envelope-pair count
 ``sum_j |envelope(row_j)|``, computed exactly in O(Y log n) by the planner
 (:func:`repro.dist.sched.envelope_profile`) — the same quantity the
 ``sweep.envelope_points`` counter reports after the fact.

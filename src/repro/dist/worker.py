@@ -25,7 +25,7 @@ when no workers are reachable, so the local fallback is bit-identical to the
 remote path by construction.
 
 Engines cross the wire as small declarative *specs* — their registry name
-and thread count, ``{"name": "slam_bucket.numpy", "threads": 1}``
+and thread count, ``{"name": "slam_bucket.native", "threads": 2}``
 (:func:`engine_spec` / :func:`resolve_engine`) — rather than pickled
 callables, so a worker only ever executes code from its own installed
 package.
@@ -82,7 +82,8 @@ def resolve_engine(spec):
     unpickle callables, so a coordinator cannot make a worker run arbitrary
     code.  A malformed spec raises :class:`ProtocolError`.  A
     ``slam_bucket.native`` spec on a worker without the compiled extension
-    runs the numpy block engine, which computes the same bits.
+    runs the per-row ``slam_bucket.numpy`` engine, which computes the same
+    bits.
     """
     if not isinstance(spec, dict):
         raise ProtocolError(f"engine spec must be a dict, got {spec!r}")

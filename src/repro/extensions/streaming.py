@@ -46,9 +46,8 @@ class StreamingKDV:
     engine:
         Sweep engine forwarded to the method.  The default ``"auto"`` is the
         compiled ``native`` sweep under the ``slam_bucket`` methods where it
-        loaded, else the bit-identical block-vectorized ``numpy`` sweep, so
-        each delta costs one fused C loop or a handful of whole-block array
-        passes rather than a Python loop over rows.
+        loaded, else the bit-identical per-row ``numpy`` sweep; each delta
+        sweeps only the changed points.
     rebuild_every:
         Full recomputation after this many delete batches, bounding float
         cancellation drift (set ``None`` to disable).

@@ -1,8 +1,7 @@
 """Thread-safe TTL + LRU tile cache.
 
-The serving layer caches rendered tiles under concurrent access, which the
-plain :class:`~repro.viz.tiles.TileRenderer` LRU was never built for.  This
-cache adds, on top of LRU capacity eviction:
+The serving layer caches rendered tiles under concurrent access.  On top
+of LRU capacity eviction this cache adds:
 
 * a per-entry **TTL** (entries older than ``ttl_s`` read as misses and are
   dropped), so a long-running server eventually refreshes tiles even without

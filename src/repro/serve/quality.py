@@ -254,7 +254,7 @@ def pyramid_grid(
     :func:`~repro.extensions.progressive.upsample_preview`.  Degraded
     renders run synchronously on request threads, on the default engine
     (``"auto"``: the compiled sweep where it loaded, else the bit-identical
-    numpy block sweep).
+    per-row numpy sweep).
     """
     if level < 1:
         raise ValueError("level must be >= 1")

@@ -1,21 +1,18 @@
-"""Tests for the block-vectorized bucket sweep — SLAM_BUCKET's ``numpy``
-engine (``numpy_batch`` is its alias).
+"""Tests for SLAM_BUCKET's bit-identity contract and its y-sorted index.
 
-The engine's contract (repro.core.batch) has two halves:
+The per-row vectorized Algorithm 2, ``slam_bucket_row_numpy``, is the
+oracle: it is the ``numpy`` engine, and ``auto`` where the compiled
+extension did not load.  The compiled ``native`` engine's contract has two
+halves, checked where it loaded:
 
 * **bit-identity** — it returns grids that are ``np.array_equal`` to
-  :func:`repro.core.sweep.sweep_kdv` driving the per-row oracle
-  ``slam_bucket_row_numpy``, for every kernel, bandwidth, weighting, worker
-  count, backend, RAO orientation, raster sub-region, and
-  ``MAX_BLOCK_BYTES`` chunk budget (the python engine agrees to float
-  tolerance).  The block engines bucket, so they are registered under the
-  bucket methods only; ``slam_sort`` rejects them;
+  :func:`repro.core.sweep.sweep_kdv` driving the oracle, for every kernel,
+  bandwidth, weighting, thread count, backend, RAO orientation and raster
+  sub-region (the python engine agrees with the oracle to float
+  tolerance);
 * **serial-equal observability** — recorder counters and phase-timer call
-  counts match the per-row serial sweep exactly, so dashboards cannot tell
-  the engines apart except by the seconds.
-
-Since ``compute_kdv(engine="numpy")`` *is* this engine, every exactness
-check below compares against the per-row oracle, never against the alias.
+  counts match the per-row sweep exactly, so dashboards cannot tell the
+  engines apart except by the seconds.
 """
 
 from __future__ import annotations
@@ -26,10 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Raster, Region, compute_kdv
-from repro.core import batch
-from repro.core.batch import MAX_BLOCK_BYTES, NumpyBatchEngine
 from repro.core.bounds import bucket_indices
-from repro.core.engines import slam_bucket_grid
 from repro.core.envelope import YSortedIndex
 from repro.core.kernels import get_kernel
 from repro.core.native import NATIVE_AVAILABLE, NativeEngine, native_grid
@@ -42,11 +36,13 @@ from repro.viz.bandwidth import resolve_bandwidth
 
 KERNEL_NAMES = ("uniform", "epanechnikov", "quartic")
 
-#: The per-row oracle (the loop the default engine replaced) and the
-#: default engine's grid function.
+#: The per-row oracle and its grid function.
 ORACLE = RowSweep("slam_bucket_row_numpy", slam_bucket_row_numpy)
 _oracle_grid = make_grid_function(ORACLE)
-numpy_grid = slam_bucket_grid["numpy"]
+
+needs_native = pytest.mark.skipif(
+    not NATIVE_AVAILABLE, reason="native sweep extension did not load"
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,18 +58,19 @@ def cluster_weights(cluster_xy) -> np.ndarray:
 
 
 def _grids(xy, raster, kernel_name, bandwidth, engine, **kwargs):
-    """``engine="rows"`` is the per-row oracle; ``"numpy"`` the default
-    block engine."""
+    """``engine="rows"`` is the per-row oracle; ``"native"`` the compiled
+    engine."""
     kernel = get_kernel(kernel_name)
-    if engine == "numpy":
-        return numpy_grid(xy, raster, kernel, bandwidth, **kwargs)
+    if engine == "native":
+        return native_grid(xy, raster, kernel, bandwidth, **kwargs)
     assert engine == "rows", engine
     return _oracle_grid(xy, raster, kernel, bandwidth, **kwargs)
 
 
 class TestBitIdentity:
-    """The default block engine == the per-row oracle, bit for bit."""
+    """The compiled engine == the per-row oracle, bit for bit."""
 
+    @needs_native
     @pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
     @pytest.mark.parametrize("weighted", (False, True))
     def test_kernels_and_weights(
@@ -82,24 +79,25 @@ class TestBitIdentity:
         raster = Raster(Region(0.0, 0.0, 100.0, 80.0), 64, 48)
         w = cluster_weights if weighted else None
         a = _grids(cluster_xy, raster, kernel_name, 9.0, "rows", weights=w)
-        b = _grids(cluster_xy, raster, kernel_name, 9.0, "numpy", weights=w)
+        b = _grids(cluster_xy, raster, kernel_name, 9.0, "native", weights=w)
         assert np.array_equal(a, b)
 
+    @needs_native
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_parallel_workers(self, backend, cluster_xy):
         raster = Raster(Region(0.0, 0.0, 100.0, 80.0), 48, 40)
         serial = _grids(cluster_xy, raster, "epanechnikov", 9.0, "rows")
         parallel = _grids(
-            cluster_xy, raster, "epanechnikov", 9.0, "numpy",
+            cluster_xy, raster, "epanechnikov", 9.0, "native",
             workers=3, backend=backend,
         )
         assert np.array_equal(serial, parallel)
 
+    @needs_native
     @pytest.mark.parametrize("size", ((48, 36), (36, 48)))
     def test_rao_both_orientations(self, size, cluster_xy):
         """Through the public API, under RAO, for both sweep orientations:
-        the default engine and its ``numpy_batch`` alias against the
-        per-row oracle."""
+        the compiled engine against the per-row oracle."""
         region = Region(0.0, 0.0, 100.0, 80.0)
         kw = dict(
             region=region, size=size, bandwidth=9.0,
@@ -108,22 +106,8 @@ class TestBitIdentity:
         oracle = with_rao(_oracle_grid)(
             cluster_xy, Raster(region, *size), get_kernel("epanechnikov"), 9.0
         )
-        for engine in ("numpy", "numpy_batch"):
-            got = compute_kdv(cluster_xy, engine=engine, **kw).grid
-            assert np.array_equal(oracle, got), engine
-
-    @pytest.mark.parametrize(
-        "max_block_bytes",
-        (1, 4096, 64 * 1024, MAX_BLOCK_BYTES, 1 << 30),
-    )
-    def test_chunking_invariance(self, max_block_bytes, cluster_xy, monkeypatch):
-        """Every chunk boundary placement — from one row per chunk to the
-        whole block in one chunk — produces the same bits."""
-        raster = Raster(Region(0.0, 0.0, 100.0, 80.0), 40, 30)
-        reference = _grids(cluster_xy, raster, "quartic", 9.0, "rows")
-        monkeypatch.setattr(batch, "MAX_BLOCK_BYTES", max_block_bytes)
-        got = _grids(cluster_xy, raster, "quartic", 9.0, "numpy")
-        assert np.array_equal(reference, got)
+        got = compute_kdv(cluster_xy, engine="native", **kw).grid
+        assert np.array_equal(oracle, got)
 
     def test_python_engine_close(self, cluster_xy):
         from repro.core.slam_bucket import slam_bucket_row_python
@@ -134,67 +118,12 @@ class TestBitIdentity:
             cluster_xy, raster, kernel, 9.0,
             RowSweep("slam_bucket.python", slam_bucket_row_python),
         )
-        b = numpy_grid(cluster_xy, raster, kernel, 9.0)
+        b = _oracle_grid(cluster_xy, raster, kernel, 9.0)
         scale = max(a.max(), 1.0)
         np.testing.assert_allclose(b / scale, a / scale, atol=1e-12)
 
 
-class TestScratchReuse:
-    """The chunk loop runs in per-block scratch: more chunks must not mean
-    more allocation (the hoisted-buffer contract in the chunking comment)."""
-
-    @staticmethod
-    def _sweep_peak(
-        monkeypatch, xy, weights, height: int, max_block_bytes: int
-    ) -> int:
-        """tracemalloc peak (bytes) of one warmed sweep_block call."""
-        import tracemalloc
-
-        monkeypatch.setattr(batch, "MAX_BLOCK_BYTES", max_block_bytes)
-        raster = Raster(Region(0.0, 0.0, 100.0, 80.0), 64, height)
-        kernel = get_kernel("quartic")  # most channels -> most scratch
-        idx = YSortedIndex(xy)
-        sw = weights[idx.order]
-        engine = NumpyBatchEngine()
-        args = (
-            0, height, raster.y_centers(),
-            (raster.x_centers() - 50.0) / 9.0, idx, 50.0, 9.0, kernel,
-        )
-        engine.sweep_block(*args, sorted_weights=sw)  # warm caches/imports
-        tracemalloc.start()
-        try:
-            engine.sweep_block(*args, sorted_weights=sw)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak
-
-    def test_chunking_adds_no_allocation_growth(
-        self, cluster_xy, cluster_weights, monkeypatch
-    ):
-        """Doubling the row count (and therefore the chunk count, at a fixed
-        ``MAX_BLOCK_BYTES``) may grow the peak by the extra output rows and
-        envelope bookkeeping — never by per-chunk scratch accumulation."""
-        args = (monkeypatch, cluster_xy, cluster_weights)
-        few = self._sweep_peak(*args, 48, 16 * 1024)
-        many = self._sweep_peak(*args, 96, 16 * 1024)
-        # Outputs are (height, 64) float64; row-proportional bookkeeping
-        # (envelope bounds, cumsums) gets a generous 64 KiB of slack.
-        out_delta = (96 - 48) * 64 * 8
-        assert many <= few + out_delta + 64 * 1024
-
-    def test_small_chunks_bound_the_working_set(
-        self, cluster_xy, cluster_weights, monkeypatch
-    ):
-        """A chunked sweep must peak well below the single-chunk sweep: the
-        whole point of ``MAX_BLOCK_BYTES`` is a bounded working set, and the
-        hoisted scratch is sized to the largest chunk, not the block."""
-        args = (monkeypatch, cluster_xy, cluster_weights)
-        chunked = self._sweep_peak(*args, 96, 16 * 1024)
-        single = self._sweep_peak(*args, 96, 1 << 30)
-        assert chunked < single
-
-
+@needs_native
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -210,20 +139,17 @@ def test_batch_parity_property(
     seed, n, b, width, height, kernel_name, weighted, threads
 ):
     """Hypothesis sweep of the bit-identity contract, including degenerate
-    rasters (1-pixel rows/columns) and empty/tiny datasets.  When the
-    compiled ``native`` engine is present it joins the matrix: same bits as
-    the per-row numpy engine for every drawn case and OpenMP thread count."""
+    rasters (1-pixel rows/columns) and empty/tiny datasets: the compiled
+    engine returns the per-row oracle's bits for every drawn case and
+    OpenMP thread count."""
     rng = np.random.default_rng(seed)
     xy = rng.uniform((0.0, 0.0), (50.0, 40.0), (n, 2))
     weights = rng.uniform(0.1, 3.0, n) if weighted else None
     raster = Raster(Region(0.0, 0.0, 50.0, 40.0), width, height)
     kernel = get_kernel(kernel_name)
     a = sweep_kdv(xy, raster, kernel, b, ORACLE, weights=weights)
-    c = numpy_grid(xy, raster, kernel, b, weights=weights)
-    assert np.array_equal(a, c)
-    if NATIVE_AVAILABLE:
-        d = native_grid(xy, raster, kernel, b, weights=weights, workers=threads)
-        assert np.array_equal(a, d)
+    d = native_grid(xy, raster, kernel, b, weights=weights, workers=threads)
+    assert np.array_equal(a, d)
 
 
 #: Bandwidths of the parity matrix: a fraction of the pixel pitch (every
@@ -443,7 +369,7 @@ def _assert_native_matches_oracle(xs, xy, k, b, weights):
         assert got.tobytes() == expected.tobytes(), kernel_name
 
 
-@pytest.mark.skipif(not NATIVE_AVAILABLE, reason="native extension did not load")
+@needs_native
 @settings(max_examples=600, deadline=None)
 @given(case=st.one_of(_dyadic_row(), _raster_row()))
 def test_native_bucket_edges_match_oracle(case):
@@ -461,7 +387,7 @@ def test_native_bucket_edges_match_oracle(case):
     _assert_native_matches_oracle(*case)
 
 
-@pytest.mark.skipif(not NATIVE_AVAILABLE, reason="native extension did not load")
+@needs_native
 def test_native_bucket_edges_match_oracle_on_uneven_centres():
     """Centres far from uniform (a slip of a quarter pixel or more) send
     every pair through the corrections; the bits still equal the
@@ -487,7 +413,7 @@ def _quotient_disagreements(gx: float, ns) -> list:
             or np.floor(a / gx) != np.floor(a * rgx)]
 
 
-@pytest.mark.skipif(not NATIVE_AVAILABLE, reason="native extension did not load")
+@needs_native
 def test_native_slow_pass_keeps_the_oracle_division():
     """Slow pairs take the reference's quotient ``(lb - x0) / gx``, not
     the product the fast-pair test uses, because the one-step corrections
@@ -516,30 +442,33 @@ def test_native_slow_pass_keeps_the_oracle_division():
             _assert_native_matches_oracle(xs, xy, 0.0, 1.0, weights)
 
 
+@needs_native
 class TestBatchEdgeCases:
+    """Edge cases of the compiled engine against the per-row oracle."""
+
     def test_single_pixel_rows(self):
-        """X = 1 exercises the bucket grid's gx -> 1.0 fallback inside the
-        batched scatter (num_pixels == 1 has no pixel spacing)."""
+        """X = 1 exercises the bucket grid's gx -> 1.0 fallback (num_pixels
+        == 1 has no pixel spacing)."""
         xy = np.array([[5.0, 5.0], [5.0, 6.0], [4.0, 5.5]])
         raster = Raster(Region(0.0, 0.0, 10.0, 10.0), 1, 8)
         kernel = get_kernel("epanechnikov")
         a = sweep_kdv(xy, raster, kernel, 4.0, ORACLE)
-        b = numpy_grid(xy, raster, kernel, 4.0)
+        b = native_grid(xy, raster, kernel, 4.0)
         assert np.array_equal(a, b)
         assert b.shape == (8, 1)
 
     def test_all_rows_empty(self):
-        """Every envelope empty (points far above the raster): the batch
-        driver's zero-pair early path must return the all-zeros block."""
+        """Every envelope empty (points far above the raster): the C loop's
+        empty-envelope rows must come back all zeros."""
         xy = np.full((10, 2), 1000.0)
         raster = Raster(Region(0.0, 0.0, 10.0, 10.0), 6, 5)
-        grid = numpy_grid(xy, raster, get_kernel("quartic"), 2.0)
+        grid = native_grid(xy, raster, get_kernel("quartic"), 2.0)
         assert grid.shape == (5, 6)
         assert not grid.any()
 
     def test_some_rows_empty_scatter_back(self):
         """A band of points leaves leading/trailing rows empty; the
-        compressed scatter must place non-empty rows correctly."""
+        non-empty rows must land in their own places."""
         rng = np.random.default_rng(3)
         xy = np.column_stack(
             [rng.uniform(0, 10, 40), rng.uniform(4.8, 5.2, 40)]
@@ -547,14 +476,14 @@ class TestBatchEdgeCases:
         raster = Raster(Region(0.0, 0.0, 10.0, 10.0), 12, 20)
         kernel = get_kernel("epanechnikov")
         a = sweep_kdv(xy, raster, kernel, 0.4, ORACLE)
-        b = numpy_grid(xy, raster, kernel, 0.4)
+        b = native_grid(xy, raster, kernel, 0.4)
         assert np.array_equal(a, b)
         assert not b[0].any() and not b[-1].any() and b.any()
 
     def test_endpoints_exactly_on_pixel_centers(self):
         """Integer coordinates + integer bandwidth put interval endpoints
-        exactly on pixel centers; the closed-interval tie rule must survive
-        batching (same correction arithmetic, just vectorized over pairs)."""
+        exactly on pixel centers; the closed-interval tie rule must hold in
+        the C loop's bucket arithmetic too."""
         xs = np.arange(11, dtype=np.float64)  # pixel centers 0..10
         lb = np.array([2.0, 0.0, 10.0, -1.0])
         ub = np.array([5.0, 0.0, 12.0, -0.5])
@@ -566,13 +495,13 @@ class TestBatchEdgeCases:
         raster = Raster(Region(-0.5, -0.5, 10.5, 4.5), 11, 5)
         kernel = get_kernel("uniform")
         a = sweep_kdv(xy, raster, kernel, 2.0, ORACLE)
-        b = numpy_grid(xy, raster, kernel, 2.0)
+        b = native_grid(xy, raster, kernel, 2.0)
         assert np.array_equal(a, b)
 
     def test_zero_pixel_intervals(self):
         """Intervals entirely between two pixel centers (enter == leave)
         contribute nothing — but their pairs still flow through the scatter
-        (dropping them would reorder bincount sums for other pairs)."""
+        (dropping them would reorder the sums for other pairs)."""
         xs = np.arange(5, dtype=np.float64)
         enter, leave = bucket_indices(
             xs, np.array([1.25, 3.1]), np.array([1.75, 3.9])
@@ -582,11 +511,11 @@ class TestBatchEdgeCases:
         raster = Raster(Region(-0.5, -0.5, 4.5, 2.5), 5, 3)
         kernel = get_kernel("epanechnikov")
         a = sweep_kdv(xy, raster, kernel, 0.4, ORACLE)
-        b = numpy_grid(xy, raster, kernel, 0.4)
+        b = native_grid(xy, raster, kernel, 0.4)
         assert np.array_equal(a, b)
 
     def test_empty_block_request(self):
-        engine = NumpyBatchEngine()
+        engine = NativeEngine()
         out = engine.sweep_block(
             3, 3, np.arange(5.0), np.arange(4.0), YSortedIndex(np.zeros((0, 2))),
             0.0, 1.0, get_kernel("uniform"),
@@ -599,13 +528,14 @@ class TestBatchEdgeCases:
             num_channels = 4
 
         raster = Raster(Region(0.0, 0.0, 100.0, 80.0), 8, 8)
-        with pytest.raises(ValueError, match="numpy_batch.*gaussianish"):
-            numpy_grid(cluster_xy, raster, FakeKernel(), 5.0)
+        with pytest.raises(ValueError, match="native.*gaussianish"):
+            native_grid(cluster_xy, raster, FakeKernel(), 5.0)
 
 
 class TestRecorderParity:
-    """Counters and timer call counts are serial-equal (batch phases merge
-    to the per-row loop's accounting; docs/observability.md)."""
+    """Counters and timer call counts are serial-equal (the compiled
+    engine's phases match the per-row loop's accounting, and process-pool
+    blocks merge to the serial totals; docs/observability.md)."""
 
     def _snapshot(self, engine, cluster_xy, **kwargs):
         raster = Raster(Region(0.0, 0.0, 100.0, 80.0), 32, 40)
@@ -616,19 +546,22 @@ class TestRecorderParity:
         )
         return rec.snapshot()
 
+    @needs_native
     def test_counters_and_calls_match_serial_rowwise(self, cluster_xy):
         serial = self._snapshot("rows", cluster_xy)
-        batch = self._snapshot("numpy", cluster_xy)
-        assert batch["counters"] == serial["counters"]
+        native = self._snapshot("native", cluster_xy)
+        assert native["counters"] == serial["counters"]
         for phase in ("sweep.envelope_update", "sweep.endpoint_bucket",
                       "sweep.prefix_sweep"):
-            assert batch["phases"][phase]["calls"] == \
+            assert native["phases"][phase]["calls"] == \
                 serial["phases"][phase]["calls"], phase
 
     def test_parallel_merge_equals_serial(self, cluster_xy):
-        serial = self._snapshot("numpy", cluster_xy)
+        # the per-row engine, because the process pool splits its rows
+        # into blocks; the compiled engine maps workers to threads
+        serial = self._snapshot("rows", cluster_xy)
         merged = self._snapshot(
-            "numpy", cluster_xy, workers=3, backend="process"
+            "rows", cluster_xy, workers=3, backend="process"
         )
         # sweep.blocks legitimately reflects the partitioning; every
         # row/envelope count must still merge to the serial totals.
@@ -659,9 +592,9 @@ class TestYSortedReuse:
             method="slam_bucket_rao", normalization="none",
         )
         idx = YSortedIndex(cluster_xy)
-        without = compute_kdv(cluster_xy, engine="numpy_batch", **kw).grid
+        without = compute_kdv(cluster_xy, engine="numpy", **kw).grid
         with_idx = compute_kdv(
-            cluster_xy, engine="numpy_batch", ysorted=idx, **kw
+            cluster_xy, engine="numpy", ysorted=idx, **kw
         ).grid
         assert np.array_equal(without, with_idx)
         if size[0] < size[1]:  # columns orientation ran: twin was built
@@ -673,8 +606,8 @@ class TestYSortedReuse:
         kernel = get_kernel("epanechnikov")
         idx = YSortedIndex(cluster_xy)
         rec = Recorder()
-        numpy_grid(cluster_xy, raster, kernel, 9.0, ysorted=idx,
-                         recorder=rec)
+        _oracle_grid(cluster_xy, raster, kernel, 9.0, ysorted=idx,
+                     recorder=rec)
         assert "index_build" not in rec.snapshot()["phases"]
 
     def test_api_rejects_mismatched_index(self, cluster_xy):

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro import compute_kdv
-from repro.core.batch import NumpyBatchEngine
 from repro.core.engines import ENGINES
+from repro.core.native import NATIVE_AVAILABLE, NativeEngine
 from repro.dist import (
     Coordinator,
     DistError,
@@ -41,15 +41,19 @@ KW = dict(size=(16, 12), bandwidth=9.0, method="slam_bucket")
 
 class TestEngineSpec:
     def test_row_engine_roundtrip(self):
-        for name in ("slam_bucket.python", "slam_sort.python", "slam_sort.numpy"):
+        for name in ("slam_bucket.python", "slam_bucket.numpy",
+                     "slam_sort.python", "slam_sort.numpy"):
             spec = engine_spec(ENGINES[name])
             assert spec == {"name": name, "threads": 1}
             assert resolve_engine(spec) is ENGINES[name]
 
+    @pytest.mark.skipif(not NATIVE_AVAILABLE,
+                        reason="native sweep extension did not load")
     def test_batch_engine_roundtrip(self):
-        spec = engine_spec(NumpyBatchEngine())
-        assert spec == {"name": "slam_bucket.numpy", "threads": 1}
-        assert isinstance(resolve_engine(spec), NumpyBatchEngine)
+        spec = engine_spec(NativeEngine(threads=2))
+        assert spec == {"name": "slam_bucket.native", "threads": 2}
+        engine = resolve_engine(spec)
+        assert isinstance(engine, NativeEngine) and engine.threads == 2
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(DistError, match="engine"):
@@ -70,7 +74,7 @@ class TestSocketParity:
             thread.join(timeout=5.0)
             assert not thread.is_alive()
 
-    @pytest.mark.parametrize("engine", ("numpy", "numpy_batch"))
+    @pytest.mark.parametrize("engine", ("numpy", "auto"))
     def test_bit_identical_over_sockets(self, xy, workers, engine):
         serial = compute_kdv(xy, engine=engine, **KW)
         with Coordinator([("127.0.0.1", s.port) for s in workers]) as coord:

@@ -43,7 +43,7 @@ def _dist_equals_serial(xy, *, shards, weights=None, **kwargs):
 
 class TestDistEqualsSerial:
     @pytest.mark.parametrize("shards", (1, 2, 3, 7))
-    @pytest.mark.parametrize("engine", ("python", "numpy", "numpy_batch"))
+    @pytest.mark.parametrize("engine", ("python", "numpy", "auto"))
     def test_engines_and_shard_counts(self, xy, engine, shards):
         _dist_equals_serial(
             xy, shards=shards, size=(16, 12), bandwidth=9.0,

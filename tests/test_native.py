@@ -3,15 +3,15 @@
 Two availability regimes, both first-class:
 
 * **Fallback** (the extension did not load): the package imports cleanly,
-  ``native`` is absent from the engine tables, ``auto`` runs the numpy
-  block engine, requesting ``native`` fails with the standard
+  ``native`` is absent from the engine tables, ``auto`` runs the per-row
+  ``numpy`` engine, requesting ``native`` fails with the standard
   unknown-engine error naming the engines that *are* available, and the
   CLI adds a hint naming the reason.  These tests always run, against a
   monkeypatched registry or a ``REPRO_BUILD_NATIVE=0`` subprocess.
 * **Loaded** (a C compiler built it on first import): the parity suite pins
-  the engine bit-identical to the ``numpy`` block engine (and hence to the
-  per-row ``slam_bucket_row_numpy`` oracle) across kernels, weights,
-  thread counts, and RAO orientations; every default path reaches the C
+  the engine bit-identical to the per-row ``slam_bucket_row_numpy`` oracle
+  (the ``numpy`` engine) across kernels, weights, thread counts, and RAO
+  orientations; every default path reaches the C
   loop with the same bits; and the build cache is keyed, atomic and
   compiler-free when warm.  Skip-marked where the extension did not load.
 
@@ -42,10 +42,12 @@ import pytest
 from repro import PointSet, Raster, Region, compute_kdv, save_csv
 from repro.cli import build_parser, main as cli_main
 from repro.core import native
-from repro.core.batch import NumpyBatchEngine
+from repro.core.engines import ENGINES
 from repro.core.envelope import YSortedIndex
 from repro.core.kernels import get_kernel
 from repro.core.native import NATIVE_AVAILABLE, NativeEngine, native_max_threads
+from repro.core.slam_bucket import slam_bucket_row_numpy
+from repro.core.sweep import RowSweep
 from repro.dist import shm
 from repro.dist.coordinator import Coordinator
 from repro.dist.errors import DistError
@@ -64,6 +66,9 @@ needs_native = pytest.mark.skipif(
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 KERNEL_NAMES = ("uniform", "epanechnikov", "quartic")
+
+#: The per-row Algorithm 2 oracle the compiled engine is pinned to.
+ORACLE = RowSweep("slam_bucket_row_numpy", slam_bucket_row_numpy)
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +140,7 @@ class TestAvailability:
                 cluster_xy, size=(16, 12), bandwidth=9.0,
                 method="slam_bucket", engine="native",
             )
-        assert "numpy_batch" in str(exc.value)
+        assert "'numpy'" in str(exc.value)
 
     def test_engine_constructor_raises_clean_error(self, fallback):
         with pytest.raises(RuntimeError, match="REPRO_BUILD_NATIVE=0") as exc:
@@ -165,7 +170,7 @@ class TestAvailability:
         assert code == 2
         err = capsys.readouterr().err
         assert "unknown engine 'native'" in err
-        assert "numpy_batch" in err
+        assert "'numpy'" in err
         assert "REPRO_BUILD_NATIVE=0" in err
         assert "docs/native.md" in err
 
@@ -177,7 +182,7 @@ class TestAvailability:
 
 @needs_native
 class TestNativeParity:
-    """native == the numpy block engine == the per-row oracle, bit for bit."""
+    """native == the per-row oracle, bit for bit."""
 
     @pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
     @pytest.mark.parametrize("weighted", (False, True))
@@ -188,7 +193,7 @@ class TestNativeParity:
         ysorted, y_centers, xs_scaled, cx = _sweep_args(cluster_xy)
         kernel = get_kernel(kernel_name)
         sw = cluster_weights[ysorted.order] if weighted else None
-        ref = NumpyBatchEngine().sweep_block(
+        ref = ORACLE.sweep_block(
             0, len(y_centers), y_centers, xs_scaled, ysorted, cx, 9.0,
             kernel, sorted_weights=sw,
         )
@@ -231,7 +236,7 @@ class TestNativeParity:
                 region=(50.0, 40.0),
             )
             kernel = get_kernel("epanechnikov")
-            ref = NumpyBatchEngine().sweep_block(
+            ref = ORACLE.sweep_block(
                 0, height, y_centers, xs_scaled, ysorted, cx, 3.0, kernel
             )
             got = NativeEngine().sweep_block(
@@ -243,7 +248,7 @@ class TestNativeParity:
         ysorted, y_centers, xs_scaled, cx = _sweep_args(cluster_xy)
         kernel = get_kernel("epanechnikov")
         snaps = []
-        for engine in (NumpyBatchEngine(), NativeEngine()):
+        for engine in (ORACLE, NativeEngine()):
             rec = Recorder()
             engine.sweep_block(
                 0, len(y_centers), y_centers, xs_scaled, ysorted, cx, 9.0,
@@ -326,9 +331,10 @@ def test_scratch_allocation_failure_raises_memory_error():
 
 def test_native_spec_falls_back_to_batch_when_absent(fallback):
     """A worker without the extension resolves a native spec to the
-    bit-identical numpy_batch engine instead of erroring the shard."""
+    bit-identical per-row numpy engine instead of erroring the shard."""
     engine = resolve_engine({"name": "slam_bucket.native", "threads": 2})
-    assert isinstance(engine, NumpyBatchEngine)
+    assert engine is ENGINES["slam_bucket.numpy"]
+    assert engine.row_fn is slam_bucket_row_numpy
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +688,8 @@ def _default_path_cases():
 @pytest.mark.parametrize("path", list(_default_path_cases()))
 def test_default_path_runs_the_c_loop(path, cluster_xy, tmp_path, monkeypatch):
     """Each default path calls the C loop, and renders the same bits as
-    where the extension did not load (``auto`` = the numpy block engine)."""
+    where the extension did not load (``auto`` = the per-row numpy
+    engine)."""
     setup, action = _default_path_cases()[path]
     calls = []
     real = NativeEngine.sweep_block
@@ -766,7 +773,7 @@ def _render(coord, xy, *, weights=None, shards=4, height=120, width=160):
         cx=cx,
         bandwidth=9.0,
         kernel=get_kernel("epanechnikov"),
-        engine=engine_spec(NumpyBatchEngine()),
+        engine=engine_spec(ENGINES["slam_bucket.numpy"]),
         sorted_weights=sw,
         shards=shards,
     )
@@ -880,7 +887,7 @@ class TestShmTransport:
             base = {
                 "shard_id": 0, "row_start": 10, "row_stop": 30,
                 "cx": cx, "bandwidth": 9.0, "kernel": "epanechnikov",
-                "engine": engine_spec(NumpyBatchEngine()),
+                "engine": engine_spec(ENGINES["slam_bucket.numpy"]),
                 "collect": False,
             }
             shm_task = dict(base)

@@ -229,17 +229,15 @@ class TestDegradedGrids:
     def test_index_callers_pass_the_indexed_array(self, points, scheme, monkeypatch):
         """Every caller that hands compute_kdv a y-sorted index passes the
         very array the index was built over, so the index check never falls
-        back to comparing coordinates: tile renderers, the service's exact,
-        pinned-pyramid and calibration renders, and render_tile."""
+        back to comparing coordinates: the service's exact, pinned-pyramid
+        and calibration renders, and render_tile."""
         from repro.core.envelope import YSortedIndex
-        from repro.viz.tiles import TileRenderer
 
         compared = []
         real = np.array_equal
         monkeypatch.setattr(
             np, "array_equal", lambda *a, **k: compared.append(1) or real(*a, **k)
         )
-        TileRenderer(points, scheme, tile_size=TILE, bandwidth=BANDWIDTH).tile(1, 0, 1)
         render_tile(points, scheme, 1, 1, 0, tile_size=TILE, bandwidth=BANDWIDTH,
                     ysorted=YSortedIndex(points))
         service = make_service(points, scheme, quality=QualityPolicy())

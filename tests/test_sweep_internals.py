@@ -15,7 +15,7 @@ from repro.core.sweep import RowSweep, make_grid_function, sweep_kdv
 from .conftest import reference_grid
 
 SORT_NUMPY = ENGINES["slam_sort.numpy"]
-#: The per-row Algorithm 2 oracle the block engines are pinned to.
+#: The per-row Algorithm 2 oracle the compiled engine is pinned to.
 BUCKET_ROWS = RowSweep("slam_bucket_row_numpy", slam_bucket_row_numpy)
 
 
@@ -93,9 +93,9 @@ class TestEngineParity:
         from repro.core.engines import slam_bucket_grid, slam_sort_grid
         from repro.core.native import NATIVE_AVAILABLE
 
-        # The block engines bucket, so only the slam_bucket table lists
-        # them; ``numpy_batch`` is an alias of its ``numpy`` engine, and
-        # ``auto`` is the compiled engine where it loaded, else ``numpy``.
+        # ``numpy_batch`` is an undocumented alias of the bucket ``numpy``
+        # engine, the per-row oracle, and ``auto`` is the compiled engine
+        # where it loaded, else ``numpy``.
         expected = {"auto", "python", "numpy", "numpy_batch"}
         if NATIVE_AVAILABLE:
             # The compiled engine registers conditionally (docs/native.md).
@@ -103,6 +103,7 @@ class TestEngineParity:
         assert set(slam_sort_grid) == {"auto", "python", "numpy"}
         assert set(slam_bucket_grid) == expected
         assert slam_bucket_grid["numpy"] is slam_bucket_grid["numpy_batch"]
+        assert ENGINES["slam_bucket.numpy"].row_fn is slam_bucket_row_numpy
         assert slam_sort_grid["auto"] is slam_sort_grid["numpy"]
         auto = "native" if NATIVE_AVAILABLE else "numpy"
         assert slam_bucket_grid["auto"] is slam_bucket_grid[auto]
@@ -119,9 +120,9 @@ class TestEngineParity:
     def test_bucket_engines_rejected_under_slam_sort(
         self, method, engine, small_xy
     ):
-        """The block engines bucket (Algorithm 2); asking for them under a
-        sorting method is the standard unknown-engine error, not a silent
-        switch of algorithm."""
+        """The compiled engine and the alias bucket (Algorithm 2); asking
+        for them under a sorting method is the standard unknown-engine
+        error, not a silent switch of algorithm."""
         from repro import compute_kdv
 
         with pytest.raises(

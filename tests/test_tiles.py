@@ -1,4 +1,4 @@
-"""Tests for the slippy-map tile renderer."""
+"""Tests for slippy-map tile addressing and rendering."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Region, compute_kdv
-from repro.viz.tiles import TileRenderer, TileScheme, render_tile
+from repro.viz.tiles import TileScheme, render_tile
 
 
 @pytest.fixture(scope="module")
@@ -105,206 +105,28 @@ class TestRenderTile:
             render_tile(points, scheme, 0, 0, 0, tile_size=0)
 
 
-class TestTileRenderer:
-    def test_cache_behavior(self, points):
-        renderer = TileRenderer(points, tile_size=16, bandwidth=60.0, cache_tiles=4)
-        renderer.tile(1, 0, 0)
-        misses_before = renderer.cache_misses
-        renderer.tile(1, 0, 0)
-        assert renderer.cache_misses == misses_before
-        assert renderer.cache_hits >= 1
+def test_service_rebuilds_index_once_per_ingest_generation(points):
+    """Acceptance: the serving render path performs exactly one
+    YSortedIndex build per ingest generation."""
+    from repro.obs import Recorder
+    from repro.serve import TileService
 
-    def test_cache_eviction(self, points):
-        renderer = TileRenderer(points, tile_size=8, bandwidth=60.0, cache_tiles=2)
-        renderer.tile(1, 0, 0)
-        renderer.tile(1, 1, 0)
-        renderer.tile(1, 0, 1)  # evicts (1, 0, 0)
-        misses = renderer.cache_misses
-        renderer.tile(1, 0, 0)
-        assert renderer.cache_misses == misses + 1
-
-    def test_tile_image(self, points):
-        renderer = TileRenderer(points, tile_size=16, bandwidth=60.0)
-        img = renderer.tile_image(1, 0, 0)
-        assert img.shape == (16, 16, 3)
-        assert img.dtype == np.uint8
-
-    def test_consistent_color_scale(self, points):
-        """The hottest zoomed tile cannot be dimmer than its overview pixel:
-        colors share the pyramid-wide peak."""
-        renderer = TileRenderer(points, tile_size=16, bandwidth=60.0)
-        hot_tile = renderer.scheme.tile_of_point(1, 300.0, 300.0)
-        zoomed = renderer.tile(1, *hot_tile)
-        overview = renderer.tile(0, 0, 0)
-        assert zoomed.max() >= overview.max() * 0.5
-
-    def test_unknown_colormap(self, points):
-        renderer = TileRenderer(points, tile_size=8, bandwidth=60.0)
-        with pytest.raises(ValueError):
-            renderer.tile_image(0, 0, 0, colormap="jet")
-
-    def test_validation(self, points):
-        with pytest.raises(ValueError):
-            TileRenderer(np.empty((0, 2)))
-        with pytest.raises(ValueError):
-            TileRenderer(points, cache_tiles=0)
-
-    def test_pointset_input(self, points):
-        from repro import PointSet
-
-        renderer = TileRenderer(PointSet(points), tile_size=8, bandwidth=60.0)
-        assert renderer.tile(0, 0, 0).shape == (8, 8)
-
-    def test_recorder_counts_cache_traffic(self, points):
-        from repro.obs import Recorder
-
-        rec = Recorder()
-        renderer = TileRenderer(
-            points, tile_size=8, bandwidth=60.0, cache_tiles=2, recorder=rec
-        )
-        # __init__ renders the (0, 0, 0) overview for the color scale: miss 1
-        renderer.tile(1, 0, 0)  # miss 2
-        renderer.tile(1, 0, 0)  # hit 1
-        renderer.tile(1, 1, 0)  # miss 3 + eviction of the overview
-        renderer.tile(1, 0, 1)  # miss 4 + eviction of (1, 0, 0)
-        assert rec.counter_value("tiles.cache.misses") == 4
-        assert rec.counter_value("tiles.cache.hits") == 1
-        assert rec.counter_value("tiles.cache.evictions") == 2
-        assert renderer.cache_evictions == 2
-        # counters agree with the renderer's own attributes
-        assert rec.counter_value("tiles.cache.misses") == renderer.cache_misses
-        assert rec.counter_value("tiles.cache.hits") == renderer.cache_hits
-        # every miss timed one render span
-        assert rec.timer("tiles.render").calls == 4
-        assert rec.phase_seconds("tiles.render") > 0.0
-
-    def test_one_ysorted_build_for_all_tiles(self, points):
-        """Every tile render shares one y-sorted index: exactly one
-        ``tiles.ysorted_builds`` however many distinct tiles are rendered,
-        and the grids match index-free renders bit for bit."""
-        from repro.obs import Recorder
-
-        rec = Recorder()
-        renderer = TileRenderer(
-            points, tile_size=8, bandwidth=60.0, cache_tiles=16, recorder=rec
-        )
-        keys = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (2, 2, 2), (2, 3, 1)]
-        for key in keys:
-            renderer.tile(*key)
+    rec = Recorder()
+    with TileService(
+        points, tile_size=8, bandwidth=60.0, workers=2, max_zoom=3,
+        recorder=rec,
+    ) as service:
+        for key in ((0, 0, 0), (1, 0, 0), (1, 1, 1), (2, 3, 3)):
+            service.get_tile(*key)
         assert rec.counter_value("tiles.ysorted_builds") == 1
-        for key in keys:
-            direct = render_tile(
-                points, renderer.scheme, *key, tile_size=8, bandwidth=60.0
-            )
-            assert np.array_equal(renderer.tile(*key), direct)
-
-    def test_non_slam_method_skips_index(self, points):
-        from repro.obs import Recorder
-
-        rec = Recorder()
-        renderer = TileRenderer(
-            points[:80], tile_size=8, bandwidth=200.0, method="scan",
-            recorder=rec,
-        )
-        renderer.tile(1, 0, 0)
-        assert rec.counter_value("tiles.ysorted_builds") == 0
-
-    def test_service_rebuilds_index_once_per_ingest_generation(self, points):
-        """Acceptance: the serving render path performs exactly one
-        YSortedIndex build per ingest generation."""
-        from repro.obs import Recorder
-        from repro.serve import TileService
-
-        rec = Recorder()
-        with TileService(
-            points, tile_size=8, bandwidth=60.0, workers=2, max_zoom=3,
-            recorder=rec,
-        ) as service:
-            for key in ((0, 0, 0), (1, 0, 0), (1, 1, 1), (2, 3, 3)):
-                service.get_tile(*key)
-            assert rec.counter_value("tiles.ysorted_builds") == 1
-            service.ingest(np.array([[500.0, 500.0], [100.0, 900.0]]))
-            for key in ((1, 0, 0), (2, 1, 1), (0, 0, 0)):
-                service.get_tile(*key)
-            assert rec.counter_value("tiles.ysorted_builds") == 2
-            # ingest of nothing is not a new generation
-            service.ingest(np.zeros((0, 2)))
-            service.get_tile(2, 0, 0)
-            assert rec.counter_value("tiles.ysorted_builds") == 2
-
-    def test_no_recorder_still_tracks_attributes(self, points):
-        renderer = TileRenderer(points, tile_size=8, bandwidth=60.0, cache_tiles=2)
-        renderer.tile(1, 0, 0)
-        renderer.tile(1, 1, 0)
-        renderer.tile(1, 0, 1)
-        assert renderer.cache_evictions == 2
-
-    def test_concurrent_same_key_renders_once(self, points):
-        """Regression: unsynchronized tile() used to double-render a key and
-        corrupt the LRU under threads.  Hammering one cold key from many
-        threads must produce exactly one render (one miss, the rest hits)."""
-        import threading
-
-        from repro.obs import Recorder
-
-        rec = Recorder()
-        renderer = TileRenderer(
-            points, tile_size=8, bandwidth=60.0, cache_tiles=8, recorder=rec
-        )
-        renders_after_init = rec.timer("tiles.render").calls
-        n_threads = 12
-        barrier = threading.Barrier(n_threads)
-        grids = [None] * n_threads
-
-        def hammer(i):
-            barrier.wait(timeout=10.0)
-            grids[i] = renderer.tile(2, 1, 1)
-
-        threads = [
-            threading.Thread(target=hammer, args=(i,)) for i in range(n_threads)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30.0)
-        assert rec.timer("tiles.render").calls == renders_after_init + 1
-        assert renderer.cache_misses == renders_after_init + 1
-        assert renderer.cache_hits == n_threads - 1
-        for grid in grids[1:]:
-            assert grid is grids[0]  # everyone got the cached array
-
-    def test_concurrent_distinct_keys_consistent_counters(self, points):
-        import threading
-
-        renderer = TileRenderer(points, tile_size=8, bandwidth=60.0, cache_tiles=16)
-        keys = [(2, tx, ty) for tx in range(3) for ty in range(2)]
-        misses_after_init = renderer.cache_misses
-
-        def worker():
-            for key in keys:
-                renderer.tile(*key)
-
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
-        assert renderer.cache_misses == misses_after_init + len(keys)
-        assert renderer.cache_hits >= 5 * len(keys)
-
-    def test_invalidate_and_clear(self, points):
-        renderer = TileRenderer(points, tile_size=8, bandwidth=60.0, cache_tiles=8)
-        renderer.tile(1, 0, 0)
-        renderer.tile(1, 1, 0)
-        assert renderer.invalidate([(1, 0, 0), (1, 7, 7)]) == 1
-        misses = renderer.cache_misses
-        renderer.tile(1, 1, 0)  # untouched key still cached
-        assert renderer.cache_misses == misses
-        renderer.tile(1, 0, 0)  # invalidated key re-renders
-        assert renderer.cache_misses == misses + 1
-        renderer.clear()
-        renderer.tile(1, 1, 0)
-        assert renderer.cache_misses == misses + 2
+        service.ingest(np.array([[500.0, 500.0], [100.0, 900.0]]))
+        for key in ((1, 0, 0), (2, 1, 1), (0, 0, 0)):
+            service.get_tile(*key)
+        assert rec.counter_value("tiles.ysorted_builds") == 2
+        # ingest of nothing is not a new generation
+        service.ingest(np.zeros((0, 2)))
+        service.get_tile(2, 0, 0)
+        assert rec.counter_value("tiles.ysorted_builds") == 2
 
 
 class TestDegenerateWorld:
