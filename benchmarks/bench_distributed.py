@@ -18,6 +18,8 @@ the socket path.  Four questions the report answers:
   that moved through shared memory instead (see ``docs/native.md``);
 * **recovery latency** — extra wall time when one of two workers is
   SIGKILLed mid-render versus the same throttled render undisturbed;
+* **round trip** — the fixed cost of one shard: the median
+  dispatch-to-RESULT time of a one-row shard over a 1-worker pool;
 * **skew & scheduling** — a skewed-dataset matrix (Gaussian hotspot, Zipf
   y-bands) comparing the cost-model planner (``balance="cost"`` + work
   stealing) against the points-balanced baseline: per-shard time spread,
@@ -42,6 +44,7 @@ Run with::
 from __future__ import annotations
 
 import os
+import statistics
 import threading
 import time
 
@@ -279,6 +282,35 @@ def test_recovery_after_kill(benchmark, workload):
     _cells[("recovery", "killed")] = killed
     _cells[("recovery", "baseline")] = baseline
     _meta["recovery"] = {"latency_s": max(killed - baseline, 0.0)}
+
+
+#: Renders the round-trip cell times, after a first that maps the segments.
+ROUND_TRIPS = 20
+
+
+def test_round_trip(workload):
+    """The fixed cost of one shard: the median dispatch-to-RESULT time
+    (``ShardRecord.elapsed_s``) of a one-row, one-shard render over a
+    1-worker pool with the shared-memory transport.  Sweeping one row takes
+    a fraction of a millisecond, so the cell is the per-shard overhead."""
+    width, _ = _resolution()
+    kwargs = _kdv_kwargs() | {"size": (width, 1)}
+    pool = launch_local_workers(1)
+    try:
+        with Coordinator(pool.addrs, shards=1) as coord:
+            assert coord.connect() == 1
+            trips = []
+            for _ in range(ROUND_TRIPS + 1):
+                compute_kdv(
+                    workload, backend="dist", coordinator=coord, **kwargs
+                )
+                (record,) = coord.last_report.records
+                trips.append(record.elapsed_s)
+    finally:
+        pool.shutdown()
+    trips = trips[1:]
+    _cells[("round_trip",)] = statistics.median(trips)
+    _meta["round_trip"] = {"renders": len(trips), "max_s": max(trips)}
 
 
 def _skewed_workload(kind: str) -> np.ndarray:

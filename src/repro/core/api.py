@@ -279,6 +279,8 @@ def compute_kdv(
         # placeholder keeps the result well-formed; pick one scaled to the
         # region so downstream consumers see a plausible value.
         bandwidth_value = min(region.width, region.height) / 10.0
+    elif isinstance(bandwidth, str) and isinstance(points, PointSet):
+        bandwidth_value = points.selector_bandwidth(bandwidth)
     else:
         bandwidth_value = resolve_bandwidth(bandwidth, xy)
 

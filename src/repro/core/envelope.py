@@ -109,6 +109,21 @@ class YSortedIndex:
         index._setup(xy)
         return index
 
+    @classmethod
+    def presorted(cls, xy: np.ndarray) -> "YSortedIndex":
+        """An index over points already in ascending-y order, without the
+        argsort: the identity permutation and ``xy`` itself as
+        :attr:`sorted_xy` (a stable argsort of a sorted column is the
+        identity, so the bits match a fresh sort).  One O(n) check guards
+        the claim; input that is not non-decreasing in y (a NaN included)
+        is sorted as usual.
+        """
+        index = cls.deferred(xy)
+        y = index.xy[:, 1]
+        if bool(np.all(y[:-1] <= y[1:])):
+            index._sorted = (np.arange(len(y)), index.xy)
+        return index
+
     def _setup(self, xy: np.ndarray) -> None:
         #: the original-order coordinates the index was built over
         self.xy = np.asarray(xy, dtype=np.float64)

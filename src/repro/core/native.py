@@ -40,9 +40,12 @@ The C loop parallelizes across rows *inside* one ``sweep_block`` call, so the
 ``workers`` kwarg maps to OpenMP threads (:func:`native_grid` resolves it via
 the same :func:`repro.core.parallel.resolve_workers` as the other engines)
 and the sweep runs serially around it — there is nothing left for a process
-pool to parallelize.  ``backend="dist"`` still routes through the
-coordinator: the spec from :func:`repro.dist.worker.engine_spec` carries the
-thread count to each worker.
+pool to parallelize.  Importing this module sets
+``OMP_WAIT_POLICY=passive`` unless the environment already has a value, so
+the OpenMP threads sleep between calls instead of spinning.
+``backend="dist"`` still routes through the coordinator: the spec from
+:func:`repro.dist.worker.engine_spec` carries the thread count to each
+worker.
 
 Bit-identity: the extension replicates ``slam_bucket_row_numpy``'s exact
 floating-point operand order (see the C source) and is pinned bit-identical
@@ -155,6 +158,11 @@ def _load_extension():
     return module, ""
 
 
+# libgomp reads OMP_WAIT_POLICY once, when the extension loads it.  Its
+# default keeps idle team threads spinning between parallel regions, and a
+# multi-threaded sweep_block call then pays milliseconds to start or wake its
+# team; passive threads sleep and wake at once.  A value the user set wins.
+os.environ.setdefault("OMP_WAIT_POLICY", "passive")
 _impl, NATIVE_ERROR = _load_extension()
 
 __all__ = [

@@ -44,8 +44,9 @@ class PointSet:
         ``(n, 2)`` array of (x, y) coordinates in projected meters.  The set
         keeps a private copy (an input it would otherwise alias is copied)
         and marks it read-only, so the y-sorted index
-        (:meth:`ysorted_index`) and the extents (:meth:`bounds`) it caches
-        can never go stale.
+        (:meth:`ysorted_index`), the extents (:meth:`bounds`) and the
+        selector bandwidths (:meth:`selector_bandwidth`) it caches can never
+        go stale.
     t:
         Optional ``(n,)`` array of event times (seconds since an arbitrary
         epoch).  Required for time-based filtering.
@@ -91,11 +92,12 @@ class PointSet:
     def _drop_caches(self) -> None:
         object.__setattr__(self, "_ysorted", None)
         object.__setattr__(self, "_extents", None)
+        object.__setattr__(self, "_bandwidths", {})
 
     def __getstate__(self) -> dict:
         # the caches are rebuilt on demand on the far side
         state = dict(self.__dict__)
-        del state["_ysorted"], state["_extents"]
+        del state["_ysorted"], state["_extents"], state["_bandwidths"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -132,6 +134,24 @@ class PointSet:
 
             object.__setattr__(self, "_extents", column_extents(self.xy))
         return self._extents
+
+    def selector_bandwidth(self, selector: str) -> float:
+        """The bandwidth the named selector (``"scott"``, ``"silverman"``,
+        ``"lcv"``) picks for these points, computed once per selector and
+        kept: it depends on the coordinates alone.
+
+        :func:`~repro.core.api.compute_kdv` resolves a selector string
+        through it.  An unknown name raises the same ``ValueError`` as
+        :func:`~repro.viz.bandwidth.resolve_bandwidth`.
+        """
+        value = self._bandwidths.get(selector)
+        if value is None:
+            from ..viz.bandwidth import resolve_bandwidth
+
+            value = self._bandwidths[selector] = resolve_bandwidth(
+                selector, self.xy
+            )
+        return value
 
     def ysorted_index(self) -> "YSortedIndex":
         """The set's y-sorted envelope index, kept for the set's lifetime.

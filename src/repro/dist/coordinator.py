@@ -55,6 +55,7 @@ import os
 import socket
 import threading
 import time
+import weakref
 
 import numpy as np
 
@@ -70,6 +71,7 @@ from .sched import (
     pairs_prefix,
     plan_shards_cost,
 )
+from .shm import KeptPair
 from .worker import compute_shard
 
 __all__ = [
@@ -198,6 +200,10 @@ class _RenderState:
         self.snapshots: list[dict] = []
         self.records: list[ShardRecord] = []
         self._next_shard_id = next_shard_id
+        #: Set when an attempt was given up on (deadline expiry, worker
+        #: death, shm demotion, ERROR frame): its worker may still write
+        #: into this render's segments, so they must not be reused.
+        self.abandoned = False
 
     def new_shard_id(self) -> int:
         with self.lock:
@@ -279,7 +285,9 @@ class Coordinator:
         the worker is shm-capable *and* on this machine (same ``node``
         token); remote or incapable workers keep the pickle transport, and
         a worker whose mapping fails at runtime is demoted to pickle for
-        the life of the pool.  See :mod:`repro.dist.shm`.
+        the life of the pool.  The coordinator keeps one segment pair
+        across renders, refilled in place, and :meth:`close` unlinks it.
+        See :mod:`repro.dist.shm`.
     recorder:
         Long-lived recorder accumulating across renders (e.g. the tile
         service's).  Each render *also* gets its counters merged into the
@@ -351,6 +359,11 @@ class Coordinator:
         self.last_report: "RenderReport | None" = None
         self._cond = threading.Condition()
         self._closed = False
+        # The shared-memory segment pair kept between renders; unlinked by
+        # close(), or when the coordinator is collected or the interpreter
+        # exits without one.
+        self._segments = KeptPair()
+        self._release_segments = weakref.finalize(self, self._segments.close)
 
     # -- connection management --------------------------------------------
 
@@ -458,8 +471,10 @@ class Coordinator:
 
     def close(self) -> None:
         """Politely shut down worker connections (not the workers themselves
-        — they return to their accept loops), release every socket, and
-        persist the cost-model calibration when ``sched_state`` is set."""
+        — they return to their accept loops), release every socket, unlink
+        the kept shared-memory segments, and persist the cost-model
+        calibration when ``sched_state`` is set."""
+        self._release_segments()
         with self._cond:
             self._closed = True
             for worker in self._workers:
@@ -579,10 +594,11 @@ class Coordinator:
         render_rec.timer("dist.plan").add(time.perf_counter() - t_plan)
         render_rec.count("dist.shards", len(plan))
 
-        # Transport selection: the shared-memory segments are created once
-        # per render (the "generation"), and only when some connected worker
-        # can actually map them — a pickle-only pool pays nothing.
-        req_seg = resp_seg = None
+        # Transport selection: the render's inputs go into a shared-memory
+        # segment pair only when some connected worker can actually map it
+        # — a pickle-only pool pays nothing.  The pair is the coordinator's
+        # kept one, refilled in place, unless a concurrent render holds it.
+        pair = None
         if self.use_shm and shm.SHM_AVAILABLE:
             with self._cond:
                 any_shm = any(
@@ -590,20 +606,20 @@ class Coordinator:
                     for w in self._workers
                 )
             if any_shm:
-                req_seg = shm.RequestSegment(
+                pair, kept = self._segments.acquire(
                     ysorted.sorted_xy, sorted_weights, y_centers, xs_scaled
                 )
-                resp_seg = shm.ResponseSegment(plan.height, len(xs_scaled))
-                render_rec.count("dist.shm_bytes", req_seg.nbytes)
+                render_rec.count("dist.shm_bytes", pair.req.nbytes)
 
         t_dispatch = time.perf_counter()
+        reuse = False
         try:
             # With shm, the output grid IS the response segment: worker band
             # writes are the merge, and local/pickle shards write into the
             # same view below.
             grid = (
-                resp_seg.grid()
-                if resp_seg is not None
+                pair.resp.grid()
+                if pair is not None
                 else np.empty((plan.height, len(xs_scaled)), dtype=np.float64)
             )
             kernel_name = (
@@ -637,9 +653,9 @@ class Coordinator:
                 }
 
             make_task_shm = None
-            if resp_seg is not None:
-                req_descr = req_seg.descr
-                resp_name = resp_seg.name
+            if pair is not None:
+                req_descr = pair.req.descr
+                resp_name = pair.resp.name
 
                 def make_task_shm(
                     shard_id: int, row_start: int, row_stop: int
@@ -729,18 +745,20 @@ class Coordinator:
                     raise DistError(
                         f"shard plan covers {covered}/{plan.height} rows"
                     )
-                if resp_seg is not None:
-                    # Detach copy: the segment is unlinked below, so the
-                    # caller gets ordinary process-private memory.
+                if pair is not None:
+                    # Detach copy: the segment serves the next render (or is
+                    # unlinked below), so the caller gets ordinary
+                    # process-private memory.
                     grid = np.array(grid)
+            reuse = not state.abandoned
         finally:
-            # Segments are strictly coordinator-owned: unlink on every exit,
-            # so neither a failed render nor a SIGKILL'd worker leaks a
-            # /dev/shm entry.
-            if req_seg is not None:
-                req_seg.unlink()
-            if resp_seg is not None:
-                resp_seg.unlink()
+            # Segments are strictly coordinator-owned.  A render that raised
+            # or abandoned an attempt unlinks its pair — a straggler may
+            # still write into it — so neither a failed render nor a
+            # SIGKILL'd worker leaks a /dev/shm entry or touches a later
+            # render's grid.
+            if pair is not None:
+                self._segments.release(pair, kept, reuse)
 
         counters = render_rec.snapshot().get("counters", {})
         self.last_report = RenderReport(
@@ -830,12 +848,14 @@ class Coordinator:
                 # The worker could not map the segments (stale namespace,
                 # permissions, ...): demote it to pickle for the life of the
                 # pool and resubmit — degrade the transport, not the render.
+                state.abandoned = True
                 worker.shm_ok = False
                 render_rec.count("dist.shm_demotions", 1)
                 render_rec.count("dist.retries", 1)
                 self._checkin(worker)
                 continue
             except _WorkerDied:
+                state.abandoned = True
                 render_rec.count("dist.worker_deaths", 1)
                 render_rec.count("dist.retries", 1)
                 self._checkin(worker, dead=True)
@@ -846,6 +866,7 @@ class Coordinator:
                 # eventual result would desynchronize the stream, so the
                 # connection is abandoned like a death (the worker process
                 # itself survives and will accept a fresh connection).
+                state.abandoned = True
                 render_rec.count("dist.retries", 1)
                 self._checkin(worker, dead=True)
                 timeouts += 1
@@ -867,6 +888,7 @@ class Coordinator:
                 # Task-level failure (the worker is healthy; the shard is
                 # poisoned, e.g. an unknown engine spec): release the worker
                 # before propagating.
+                state.abandoned = True
                 self._checkin(worker)
                 raise
             else:

@@ -19,6 +19,15 @@ recomputed bit-identically elsewhere (see ``docs/scheduling.md``).  Chunk
 boundaries never change the numbers — each chunk is the same
 ``sweep_block`` call over the same per-row envelopes the serial sweep makes.
 
+The receive loop is event-driven: it blocks in ``select`` on the
+connection and on a wake-up socket that the compute thread signals when
+the sweep ends, so a frame is handled the moment it arrives and the RESULT
+leaves the moment the last chunk is written — no poll interval sits
+between them.  Over the shared-memory transport the chunks go straight
+into the worker's view of its band in the response segment, and the
+segments stay mapped for the life of the connection
+(:class:`repro.dist.shm.Mappings`).
+
 :func:`compute_shard` is deliberately a standalone pure function: the
 coordinator calls the identical code in-process for graceful degradation
 when no workers are reachable, so the local fallback is bit-identical to the
@@ -44,6 +53,7 @@ forcing the double-completion race the steal exactness tests cover.
 from __future__ import annotations
 
 import os
+import selectors
 import socket
 import sys
 import threading
@@ -108,21 +118,23 @@ def compute_shard_incremental(
     chunk_rows: "int | None" = None,
     progress=None,
     stop_fn=None,
-) -> "tuple[np.ndarray, int, dict | None]":
+    mappings: "shm.Mappings | None" = None,
+) -> "tuple[np.ndarray | None, int, dict | None]":
     """Compute one shard's row block a chunk of rows at a time.
 
     Returns ``(block, rows_computed, snapshot_or_None)`` where ``block``
     holds the first ``rows_computed`` rows of the band.  ``task`` is the
     payload of a TASK frame (see
     :meth:`repro.dist.coordinator.Coordinator.render_sweep` for the schema).
-    The halo slice arrives already in ascending-y order, so rebuilding the
-    :class:`YSortedIndex` here is an identity permutation — every row's
-    envelope slice has exactly the content and order the serial sweep would
-    see, which is what makes the merged grid bit-identical.  Chunking only
-    changes *when* rows are computed, never *what*: the engines are
-    row-independent, so ``N`` chunked calls concatenate to the single-call
-    block byte for byte (and the recorder counters they emit are additive
-    over chunks, so snapshots stay serial-equal too).
+    The halo slice arrives already in ascending-y order, so its
+    :class:`YSortedIndex` is built as already sorted (an identity
+    permutation, no argsort) — every row's envelope slice has exactly the
+    content and order the serial sweep would see, which is what makes the
+    merged grid bit-identical.  Chunking only changes *when* rows are
+    computed, never *what*: the engines are row-independent, so ``N``
+    chunked calls fill the band exactly as one call would (and the recorder
+    counters they emit are additive over chunks, so snapshots stay
+    serial-equal too).
 
     ``progress(rows_done)`` is called after each chunk; ``stop_fn()``
     returns the current band-relative truncation target (rows at or beyond
@@ -130,40 +142,67 @@ def compute_shard_incremental(
     is computed in one chunk, which is the plain :func:`compute_shard`.
 
     A shared-memory task (one carrying an ``shm`` descriptor instead of
-    inline arrays) is materialized first: the request segment is mapped and
-    the halo/geometry arrays become zero-copy views over it for the duration
-    of the compute.  The numbers that come out are bit-identical either way
-    — the views hold exactly the bytes the pickle path would have shipped.
+    inline arrays) reads its halo and geometry as zero-copy views of the
+    request segment, and — when the descriptor names a response segment —
+    writes each chunk straight into its band there and returns ``None`` as
+    the block.  The numbers are bit-identical either way: the views hold
+    exactly the bytes the pickle path would have shipped.  ``mappings``
+    keeps the segments attached across tasks (a worker connection's
+    cache); without it they are attached for this call only.
     """
     descr = task.get("shm")
-    if descr is not None:
-        seg = shm.attach(descr["req"]["name"])
-        try:
-            xy, w, ys_all, xs = shm.map_request(seg, descr["req"])
-            halo = slice(int(task["halo_start"]), int(task["halo_stop"]))
-            rows = slice(int(task["row_start"]), int(task["row_stop"]))
-            task = dict(task)
-            task["halo_xy"] = xy[halo]
-            task["halo_weights"] = None if w is None else w[halo]
-            task["y_centers"] = ys_all[rows]
-            task["xs_scaled"] = xs
-            return compute_shard_incremental(
-                task | {"shm": None},
-                chunk_rows=chunk_rows,
-                progress=progress,
-                stop_fn=stop_fn,
-            )
-        finally:
-            shm.detach(seg)
+    if descr is None:
+        return _sweep_band(task, None, chunk_rows, progress, stop_fn)
+    own = mappings is None
+    if own:
+        mappings = shm.Mappings()
+    try:
+        return _sweep_shm_band(
+            task, descr, mappings, chunk_rows, progress, stop_fn
+        )
+    finally:
+        if own:
+            mappings.close()
+
+
+def _sweep_shm_band(task, descr, mappings, chunk_rows, progress, stop_fn):
+    """:func:`_sweep_band` over views of the task's segments.  The views
+    live only in this frame, so they are gone before any mapping closes."""
+    req = descr["req"]
+    xy, w, ys_all, xs = shm.map_request(mappings.get(req["name"]), req)
+    halo = slice(int(task["halo_start"]), int(task["halo_stop"]))
+    row_start = int(task["row_start"])
+    y_centers = ys_all[row_start:int(task["row_stop"])]
+    task = task | {
+        "halo_xy": xy[halo],
+        "halo_weights": None if w is None else w[halo],
+        "y_centers": y_centers,
+        "xs_scaled": xs,
+    }
+    out = None
+    if descr.get("resp") is not None:
+        out = shm.map_band(
+            mappings.get(descr["resp"]), req, row_start, len(y_centers)
+        )
+    return _sweep_band(task, out, chunk_rows, progress, stop_fn)
+
+
+def _sweep_band(task, out, chunk_rows, progress, stop_fn):
+    """Sweep the task's band chunk by chunk into ``out`` (a response-segment
+    view; the block is then ``None``) or into a fresh array."""
     kernel = get_kernel(task["kernel"])
     engine = resolve_engine(task["engine"])
-    ysorted = YSortedIndex(np.asarray(task["halo_xy"], dtype=np.float64))
+    ysorted = YSortedIndex.presorted(
+        np.asarray(task["halo_xy"], dtype=np.float64)
+    )
     y_centers = np.asarray(task["y_centers"], dtype=np.float64)
     xs_scaled = np.asarray(task["xs_scaled"], dtype=np.float64)
     recorder = Recorder() if task.get("collect") else None
     total = len(y_centers)
+    band = out
+    if band is None:
+        band = np.empty((total, len(xs_scaled)), dtype=np.float64)
     step = total if not chunk_rows or chunk_rows <= 0 else int(chunk_rows)
-    parts: list[np.ndarray] = []
     done = 0
     while done < total:
         stop = total
@@ -172,38 +211,32 @@ def compute_shard_incremental(
         if done >= stop:
             break
         hi = min(done + step, stop)
-        parts.append(
-            engine.sweep_block(
-                done,
-                hi,
-                y_centers,
-                xs_scaled,
-                ysorted,
-                float(task["cx"]),
-                float(task["bandwidth"]),
-                kernel,
-                sorted_weights=task.get("halo_weights"),
-                recorder=recorder,
-            )
+        band[done:hi] = engine.sweep_block(
+            done,
+            hi,
+            y_centers,
+            xs_scaled,
+            ysorted,
+            float(task["cx"]),
+            float(task["bandwidth"]),
+            kernel,
+            sorted_weights=task.get("halo_weights"),
+            recorder=recorder,
         )
         done = hi
         if progress is not None:
             progress(done)
-    if not parts:
-        block = np.zeros((0, len(xs_scaled)), dtype=np.float64)
-    elif len(parts) == 1:
-        block = parts[0]
-    else:
-        block = np.concatenate(parts, axis=0)
+    block = None if out is not None else band[:done]
     if recorder is not None:
         recorder.count("dist.shards_computed", 1)
         return block, done, recorder.snapshot()
     return block, done, None
 
 
-def compute_shard(task: dict) -> "tuple[np.ndarray, dict | None]":
+def compute_shard(task: dict) -> "tuple[np.ndarray | None, dict | None]":
     """Compute one full shard in a single chunk; returns
-    ``(block, snapshot_or_None)``.
+    ``(block, snapshot_or_None)`` (``block`` is ``None`` when a
+    shared-memory task wrote it into its response segment).
 
     The coordinator calls this identical code in-process for graceful
     degradation when no workers are reachable, so the local fallback is
@@ -365,6 +398,20 @@ class WorkerServer:
             return
         self._log(f"coordinator connected from {addr}")
         send_lock = threading.Lock()
+        # The segments this coordinator's tasks name stay mapped until it
+        # disconnects; every task has dropped its views by then.
+        mappings = shm.Mappings()
+        try:
+            self._serve_frames(conn, send_lock, mappings)
+        finally:
+            mappings.close()
+
+    def _serve_frames(
+        self,
+        conn: socket.socket,
+        send_lock: threading.Lock,
+        mappings: "shm.Mappings",
+    ) -> None:
         while not self._stop.is_set():
             try:
                 msg_type, payload, _ = proto.recv_msg(conn, timeout=0.5)
@@ -379,7 +426,14 @@ class WorkerServer:
             if msg_type == proto.MSG_PING:
                 proto.send_msg(conn, proto.MSG_PONG, lock=send_lock)
             elif msg_type == proto.MSG_TASK:
-                self._handle_task(conn, send_lock, payload)
+                try:
+                    self._handle_task(conn, send_lock, payload, mappings)
+                except ConnectionClosed as exc:
+                    # The coordinator dropped the connection mid-shard (it
+                    # abandoned the attempt, or died); the worker lives on
+                    # and goes back to accept.
+                    self._log(str(exc))
+                    return
             elif msg_type == proto.MSG_CANCEL:
                 # A CANCEL that arrives between tasks lost its race with our
                 # RESULT frame: the shard already completed in full, and the
@@ -404,20 +458,28 @@ class WorkerServer:
                 )
 
     def _handle_task(
-        self, conn: socket.socket, send_lock: threading.Lock, task: dict
+        self,
+        conn: socket.socket,
+        send_lock: threading.Lock,
+        task: dict,
+        mappings: "shm.Mappings",
     ) -> None:
         """Compute one shard while keeping the receive loop live.
 
         The sweep runs on a side thread in ``chunk_rows`` slices; this
-        thread keeps servicing frames so a CANCEL can truncate the shard
-        mid-compute and PINGs stay answered.  Heartbeats carry ``rows_done``
-        so the coordinator can price the remaining work.
+        thread blocks in ``select`` on the connection and on a wake-up
+        socket the compute thread signals when it ends.  A frame is handled
+        as soon as it arrives — a CANCEL truncates the shard mid-compute,
+        PINGs stay answered — and the RESULT is sent as soon as the sweep
+        ends.  Heartbeats carry ``rows_done`` so the coordinator can price
+        the remaining work.
         """
         shard_id = task.get("shard_id")
         row_start = int(task.get("row_start") or 0)
         total_rows = int(task.get("row_stop") or 0) - row_start
         run = _ShardRun(total_rows)
         outcome: dict = {}
+        wake_recv, wake_send = socket.socketpair()
 
         def on_progress(rows_done: int) -> None:
             if self.slow_factor > 1.0:
@@ -440,14 +502,21 @@ class WorkerServer:
                     chunk_rows=self.chunk_rows,
                     progress=on_progress,
                     stop_fn=run.get_stop,
+                    mappings=mappings,
                 )
                 outcome["block"] = block
                 outcome["rows"] = rows
                 outcome["snapshot"] = snapshot
             except Exception as exc:
-                outcome["error"] = exc
+                # Keep the message, not the exception: its traceback would
+                # hold the frames' shared-memory views past this task.
+                outcome["error"] = f"{type(exc).__name__}: {exc}"
+                # Lets the coordinator tell a broken shm mapping (demote to
+                # pickle and resubmit) from a poisoned shard (propagate).
+                outcome["shm_failed"] = isinstance(exc, shm.ShmError)
             finally:
                 run.finished.set()
+                wake_send.send(b"\0")
 
         heartbeat = threading.Thread(
             target=self._heartbeat_loop,
@@ -460,52 +529,58 @@ class WorkerServer:
         )
         worker.start()
         conn_ok = True
-        while not run.finished.is_set():
-            try:
-                # A short poll slice: nothing interrupts a blocked recv when
-                # compute finishes, so this bounds the latency between the
-                # sweep completing and the RESULT frame hitting the wire.
-                msg_type, payload, _ = proto.recv_msg(conn, timeout=0.02)
-            except socket.timeout:
-                continue
-            except (ConnectionClosed, ProtocolError, OSError):
-                # Nobody will read this result; stop at the next chunk
-                # boundary instead of finishing a band for no one.
-                conn_ok = False
-                run.truncate(run.rows_done)
-                break
-            if msg_type == proto.MSG_PING:
+        with wake_recv, wake_send, selectors.DefaultSelector() as selector:
+            selector.register(conn, selectors.EVENT_READ)
+            selector.register(wake_recv, selectors.EVENT_READ)
+            while True:
+                selector.select()
+                # The wake-up wins a tie: frames that arrive with the
+                # sweep's end wait for the serve loop, after the RESULT.
+                if run.finished.is_set():
+                    break
                 try:
-                    proto.send_msg(conn, proto.MSG_PONG, lock=send_lock)
-                except OSError:
-                    pass
-            elif msg_type == proto.MSG_CANCEL and isinstance(payload, dict):
-                if payload.get("shard_id") == shard_id and not self.ignore_cancel:
-                    target = int(payload.get("row_stop", row_start)) - row_start
-                    run.truncate(target)
+                    msg_type, payload, _ = proto.recv_msg(conn, timeout=0.5)
+                except socket.timeout:
+                    continue
+                except (ConnectionClosed, ProtocolError, OSError):
+                    # Nobody will read this result; stop at the next chunk
+                    # boundary instead of finishing a band for no one.
+                    conn_ok = False
+                    run.truncate(run.rows_done)
+                    break
+                if msg_type == proto.MSG_PING:
+                    try:
+                        proto.send_msg(conn, proto.MSG_PONG, lock=send_lock)
+                    except OSError:
+                        pass
+                elif msg_type == proto.MSG_CANCEL and isinstance(payload, dict):
+                    if payload.get("shard_id") == shard_id and not self.ignore_cancel:
+                        target = int(payload.get("row_stop", row_start)) - row_start
+                        run.truncate(target)
+                        self._log(
+                            f"shard {shard_id} truncated at band row "
+                            f"{max(target, 0)} (tail stolen)"
+                        )
+                elif msg_type == proto.MSG_BYE:
+                    conn_ok = False
+                    run.truncate(run.rows_done)
+                    break
+                else:
+                    # SHUTDOWN and anything else waits until the shard
+                    # returns; the outer serve loop owns those transitions.
                     self._log(
-                        f"shard {shard_id} truncated at band row "
-                        f"{max(target, 0)} (tail stolen)"
+                        f"deferring {proto.MSG_NAMES.get(msg_type, msg_type)} "
+                        f"frame until shard {shard_id} completes"
                     )
-            elif msg_type == proto.MSG_BYE:
-                conn_ok = False
-                run.truncate(run.rows_done)
-                break
-            else:
-                # SHUTDOWN and anything else waits until the shard returns;
-                # the outer serve loop owns those transitions.
-                self._log(
-                    f"deferring {proto.MSG_NAMES.get(msg_type, msg_type)} "
-                    f"frame until shard {shard_id} completes"
-                )
-        worker.join()
+            # The wake-up socket stays open until the compute thread that
+            # signals it is done.
+            worker.join()
         run.finished.set()
         heartbeat.join()
         if not conn_ok:
             raise ConnectionClosed("coordinator went away mid-shard")
         error = outcome.get("error")
         if error is None:
-            block = outcome["block"]
             rows = int(outcome["rows"])
             reply_type = proto.MSG_RESULT
             reply = {
@@ -517,27 +592,20 @@ class WorkerServer:
                 "snapshot": outcome["snapshot"],
                 "pid": os.getpid(),
             }
-            descr = task.get("shm")
-            if descr is not None:
-                try:
-                    # Zero-copy return: the band goes straight into the
-                    # response segment; the RESULT frame stays tiny.
-                    reply["shm_bytes"] = shm.write_band(
-                        descr["resp"], descr["req"], row_start, block
-                    )
-                    reply["shm"] = True
-                except shm.ShmError as exc:
-                    error = exc
+            if outcome["block"] is None:
+                # Zero-copy return: the band is already in the response
+                # segment; the RESULT frame stays tiny.
+                width = int(task["shm"]["req"]["width"])
+                reply["shm_bytes"] = rows * width * np.dtype(np.float64).itemsize
+                reply["shm"] = True
             else:
-                reply["block"] = block
-        if error is not None:
+                reply["block"] = outcome["block"]
+        else:
             reply_type = proto.MSG_ERROR
             reply = {
                 "shard_id": shard_id,
-                "error": f"{type(error).__name__}: {error}",
-                # Lets the coordinator tell a broken shm mapping (demote to
-                # pickle and resubmit) from a poisoned shard (propagate).
-                "shm_failed": isinstance(error, shm.ShmError),
+                "error": error,
+                "shm_failed": outcome["shm_failed"],
             }
             self._log(f"shard {shard_id} failed: {error}")
         try:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import compute_kdv
+from repro.core.engines import ENGINES
 from repro.dist import Coordinator
 
 KERNEL_NAMES = ("uniform", "epanechnikov", "quartic")
@@ -108,3 +109,42 @@ class TestDistEqualsSerial:
             xy, shards=shards, weights=weights, size=size,
             kernel=kernel_name, bandwidth=11.0, method=method,
         )
+
+
+@pytest.mark.parametrize(
+    "engine_name",
+    [n for n in ("slam_bucket.numpy", "slam_bucket.native") if n in ENGINES],
+)
+def test_shard_takes_its_halo_as_sorted(xy, engine_name, monkeypatch):
+    """The halo a shard receives is a slice of the y-sorted points, so the
+    worker builds its index without sorting: no ``_stable_argsort`` call,
+    and the band equals the one a freshly sorted index of the halo gives."""
+    from repro.core import envelope
+    from repro.core.kernels import get_kernel
+    from repro.dist import engine_spec
+    from repro.dist.worker import compute_shard
+
+    ysorted = envelope.YSortedIndex(xy)
+    halo = ysorted.sorted_xy[20:170]
+    y_centers = np.linspace(halo[0, 1], halo[-1, 1], 24)
+    xs_scaled = np.linspace(-9.0, 9.0, 30)
+    engine = ENGINES[engine_name]
+    task = {
+        "shard_id": 0, "row_start": 0, "row_stop": len(y_centers),
+        "halo_xy": halo, "halo_weights": None, "y_centers": y_centers,
+        "xs_scaled": xs_scaled, "cx": 50.0, "bandwidth": 9.0,
+        "kernel": "quartic", "engine": engine_spec(engine), "collect": False,
+    }
+    sorts = []
+    real = envelope._stable_argsort
+    monkeypatch.setattr(
+        envelope, "_stable_argsort", lambda v: sorts.append(len(v)) or real(v)
+    )
+    block, _ = compute_shard(task)
+    assert sorts == []
+    monkeypatch.undo()
+    expected = engine.sweep_block(
+        0, len(y_centers), y_centers, xs_scaled, envelope.YSortedIndex(halo),
+        50.0, 9.0, get_kernel("quartic"),
+    )
+    assert block.tobytes() == expected.tobytes()

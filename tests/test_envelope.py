@@ -129,6 +129,22 @@ class TestYSortedIndex:
             assert idx.sorted_xy.tobytes() == coords[expected].tobytes()
             assert idx.sorted_xy.shape == coords.shape
 
+    @settings(max_examples=100, deadline=None)
+    @given(xy=_tied_points())
+    def test_presorted_matches_a_fresh_sort(self, xy):
+        """``presorted`` takes points already in stable y order as they are
+        (the identity permutation, the input itself as ``sorted_xy``) and
+        equals a freshly sorted index bit for bit; other input (NaN rows
+        included) is sorted as usual."""
+        in_order = YSortedIndex(xy).sorted_xy
+        for coords in (in_order, xy):
+            index = YSortedIndex.presorted(coords)
+            expected = YSortedIndex(coords)
+            np.testing.assert_array_equal(index.order, expected.order)
+            assert index.sorted_xy.tobytes() == expected.sorted_xy.tobytes()
+        if not np.isnan(in_order[:, 1]).any():
+            assert YSortedIndex.presorted(in_order).sorted_xy is in_order
+
     def test_overflowing_keys_take_the_stable_sort(self, monkeypatch):
         """An n whose composite keys would overflow int64 (n**2 > 2**63)
         sorts with the stable argsort itself; shrinking the limit runs

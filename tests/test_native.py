@@ -421,6 +421,25 @@ def test_build_native_0_falls_back_to_the_same_bits(cluster_xy, tmp_path):
     assert np.array_equal(np.load(tmp_path / "grid.npy"), native)
 
 
+@pytest.mark.parametrize("user, expected",
+                         [(None, "passive"), ("active", "active")])
+def test_openmp_wait_policy_defaults_to_passive(user, expected):
+    """Importing the engine makes idle OpenMP threads sleep between calls
+    (``OMP_WAIT_POLICY=passive``, set before libgomp loads and reads it); a
+    value the user set is kept."""
+    env = {k: v for k, v in os.environ.items() if k != "OMP_WAIT_POLICY"}
+    if user is not None:
+        env["OMP_WAIT_POLICY"] = user
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import os, repro.core.native; print(os.environ['OMP_WAIT_POLICY'])"],
+        env={**env, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == expected
+
+
 @pytest.fixture(scope="module")
 def warm_cache(tmp_path_factory) -> Path:
     """A build cache holding one build of this checkout's source."""

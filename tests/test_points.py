@@ -159,6 +159,52 @@ class TestCachedBounds:
                 Region.from_points(xy)
 
 
+class TestCachedBandwidths:
+    @pytest.mark.parametrize("selector", ("scott", "silverman", "lcv"))
+    def test_selector_runs_once_per_set(self, selector, rng, monkeypatch):
+        """``compute_kdv`` resolves a selector string once per set: a second
+        call does not run the selector, and the value is bit-equal to a
+        fresh resolution.  Raw arrays still resolve on every call."""
+        from repro import compute_kdv
+        from repro.viz import bandwidth as bw
+
+        real = bw.BANDWIDTH_SELECTORS[selector]
+        calls = []
+
+        def counting(xy):
+            calls.append(len(xy))
+            return real(xy)
+
+        monkeypatch.setitem(bw.BANDWIDTH_SELECTORS, selector, counting)
+        ps = PointSet(rng.uniform((0.0, 0.0), (100.0, 80.0), (400, 2)))
+        kw = dict(size=(24, 18), bandwidth=selector)
+        first = compute_kdv(ps, **kw)
+        second = compute_kdv(ps, **kw)
+        assert calls == [400]
+        assert second.bandwidth == first.bandwidth
+        assert np.array_equal(second.grid, first.grid)
+        raw = compute_kdv(np.array(ps.xy), **kw)
+        assert calls == [400, 400]
+        assert np.float64(raw.bandwidth).tobytes() == \
+            np.float64(first.bandwidth).tobytes()
+
+    def test_unknown_selector_caches_nothing(self, small_points):
+        with pytest.raises(ValueError, match="unknown bandwidth selector"):
+            small_points.selector_bandwidth("nope")
+        assert "nope" not in small_points._bandwidths
+
+    def test_pickle_drops_the_cache(self, rng):
+        import pickle
+
+        ps = PointSet(rng.uniform((0.0, 0.0), (100.0, 80.0), (300, 2)))
+        size = len(pickle.dumps(ps))
+        value = ps.selector_bandwidth("scott")
+        assert len(pickle.dumps(ps)) == size
+        clone = pickle.loads(pickle.dumps(ps))
+        assert clone._bandwidths == {}
+        assert clone.selector_bandwidth("scott") == value
+
+
 class TestSubsetIndexes:
     @pytest.mark.parametrize("how", ("select", "filter_time"))
     def test_subset_renders_equal_a_fresh_set(self, how, small_points):
