@@ -84,7 +84,12 @@ BENCH_KWARGS: dict[str, dict] = {"zorder": {"epsilon": 0.01}}
 
 
 def grid_fn(method: str, xy, raster, kernel, bandwidth, **kwargs):
-    """Zero-arg callable computing one raw KDV grid."""
+    """Zero-arg callable computing one raw KDV grid.
+
+    It calls the method's grid function, not ``compute_kdv``: unless
+    ``kwargs`` passes ``workers``, the SLAM sweeps run on one thread (the
+    grid functions' default is 1), like the paper's C++.
+    """
     fn, _exact = METHODS[method]
     options = {**BENCH_KWARGS.get(method, {}), **kwargs}
 

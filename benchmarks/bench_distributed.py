@@ -175,7 +175,7 @@ def _overhead_fraction(snapshot: dict, elapsed: float) -> "float | None":
 
 def test_serial_baseline(benchmark, workload):
     benchmark.pedantic(
-        lambda: compute_kdv(workload, **_kdv_kwargs()),
+        lambda: compute_kdv(workload, workers=1, **_kdv_kwargs()),
         rounds=1, iterations=1, warmup_rounds=0,
     )
     _cells[("serial",)] = float(benchmark.stats.stats.mean)

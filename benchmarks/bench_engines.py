@@ -9,9 +9,11 @@ the per-row sweep loop.  Every cell reports min-of-repeats wall clock and
 rows/sec, and the speedup relative to ``numpy``.
 
 Where the extension loaded (it compiles on first import), the fused-C
-``native`` engine joins the grid (serial, plus an OpenMP ``native@<T>T``
-cell when the machine has more than one CPU — see ``docs/native.md``);
-hosts without it simply skip it.
+``native`` engine joins the grid: serial, ``native@default`` with
+``workers`` unset (the team ``compute_kdv`` picks by default: every usable
+CPU once a cell's envelope pairs reach ``TEAM_MIN_PAIRS``, one thread
+below), plus an OpenMP ``native@<T>T`` cell when the machine has more than
+one CPU — see ``docs/native.md``; hosts without it simply skip it.
 
 The headline cell is ``native`` vs ``numpy`` at 1280x960, n = 100k,
 Epanechnikov, bandwidth 15 (a sharp-hotspot bandwidth, ~4 px, where the
@@ -33,9 +35,9 @@ Knobs (environment variables, all optional):
 ``REPRO_BENCH_ENGINES_REPEATS``
     Timing repeats per cell; the minimum is reported (default ``3``).
 ``REPRO_BENCH_ENGINES_NATIVE_THREADS``
-    OpenMP thread count for the extra ``native@<T>T`` cell (default: CPU
-    count; the cell only appears when the count is > 1 and the extension
-    compiled).
+    OpenMP thread count for the extra ``native@<T>T`` cell (default: the
+    CPUs this process may run on; the cell only appears when the count is
+    > 1 and the extension compiled).
 
 Run with::
 
@@ -60,6 +62,7 @@ from repro.core.envelope import YSortedIndex
 from repro.core.kernels import get_kernel
 from repro.core.engines import slam_bucket_grid
 from repro.core.native import NATIVE_AVAILABLE
+from repro.core.parallel import usable_cpus
 from repro.viz.region import Raster, Region
 
 ENGINES = ("python", "numpy") + (("native",) if NATIVE_AVAILABLE else ())
@@ -96,19 +99,24 @@ def _repeats() -> int:
 
 def _native_threads() -> int:
     raw = os.environ.get("REPRO_BENCH_ENGINES_NATIVE_THREADS", "")
-    return max(1, int(raw)) if raw else (os.cpu_count() or 1)
+    return max(1, int(raw)) if raw else usable_cpus()
 
 
-def _engine_cells() -> tuple[tuple[str, int], ...]:
-    """(engine, threads) pairs: every engine serial, plus an OpenMP cell
-    for ``native`` when the machine can actually parallelize."""
+def _engine_cells() -> "tuple[tuple[str, int | None], ...]":
+    """(engine, threads) pairs: every engine serial, ``native`` at the
+    default (``threads`` ``None``), plus an OpenMP cell for ``native`` when
+    the machine can actually parallelize."""
     cells = [(engine, 1) for engine in ENGINES]
-    if NATIVE_AVAILABLE and _native_threads() > 1:
-        cells.append(("native", _native_threads()))
+    if NATIVE_AVAILABLE:
+        cells.append(("native", None))
+        if _native_threads() > 1:
+            cells.append(("native", _native_threads()))
     return tuple(cells)
 
 
-def _cell_label(engine: str, threads: int) -> str:
+def _cell_label(engine: str, threads: "int | None") -> str:
+    if threads is None:
+        return f"{engine}@default"
     return engine if threads == 1 else f"{engine}@{threads}T"
 
 
@@ -128,18 +136,19 @@ def build_workload(width: int, n: int):
 
 
 def timed_cell(
-    engine: str, width: int, n: int, repeats: int, threads: int = 1,
+    engine: str, width: int, n: int, repeats: int, threads: "int | None" = 1,
 ) -> tuple[float, float]:
     """(min wall seconds, rows/sec) for one engine cell.
 
-    ``threads > 1`` is only meaningful for ``native``, where it becomes the
-    OpenMP thread count; the other engines are always timed serial.
+    ``threads`` other than 1 is only meaningful for ``native``, where it
+    becomes the OpenMP thread count (``None``: the engine's own choice);
+    the other engines are always timed serial.
     """
     xy, raster, ysorted = build_workload(width, n)
     kernel = get_kernel("epanechnikov")
     fn = GRIDS[engine]
     bandwidth = _bandwidth()
-    kwargs = {"workers": threads} if engine == "native" and threads > 1 else {}
+    kwargs = {"workers": threads} if engine == "native" and threads != 1 else {}
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -290,7 +299,7 @@ def main(argv: "list[str] | None" = None) -> int:
             for engine, threads in cells:
                 label = _cell_label(engine, threads)
                 if _engine_cost(engine, width, height, n) > MAX_CELL_COST:
-                    print(f"{label:12s} {width}x{height} n={n:,}: skipped "
+                    print(f"{label:14s} {width}x{height} n={n:,}: skipped "
                           "(over budget)")
                     continue
                 seconds, rps = timed_cell(engine, width, n, _repeats(),
@@ -298,7 +307,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 _cells[(label, width, n)] = seconds
                 _rows_per_sec[(label, width, n)] = rps
                 report.add_cell((label, width, n), seconds, rows_per_sec=rps)
-                print(f"{label:12s} {width}x{height} n={n:,}: "
+                print(f"{label:14s} {width}x{height} n={n:,}: "
                       f"{seconds:7.3f}s  {rps:,.0f} rows/s")
     report.meta.update(_report_meta())
     headline = report.meta.get("headline_cell") or {}

@@ -184,9 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 "vectorized), or native (fused C loop + "
                                 "OpenMP, compiled on first import -- see "
                                 "docs/native.md)")
-    p_compute.add_argument("--workers", type=_parse_workers, default=1,
+    p_compute.add_argument("--workers", type=_parse_workers, default=None,
                            help="row-sweep workers for SLAM methods: a count "
-                                "or 'auto' (default 1, serial)")
+                                "or 'auto' (default: unset; the native "
+                                "engine runs every usable CPU on renders "
+                                "big enough to gain and one thread below, "
+                                "other engines run serially)")
     p_compute.add_argument("--backend", default=None, choices=BACKENDS,
                            help="parallel backend for SLAM methods: process "
                                 "(default; a local process pool when "

@@ -139,7 +139,7 @@ def compute_kdv(
     engine: str = "auto",
     normalization: str = "count",
     weights: np.ndarray | None = None,
-    workers: "int | str" = 1,
+    workers: "int | str | None" = None,
     ysorted: "YSortedIndex | None" = None,
     collect_stats: bool = False,
     recorder: "Recorder | None" = None,
@@ -190,13 +190,20 @@ def compute_kdv(
         is set.  All methods support weighting; the density becomes
         ``sum_p w_p K(q, p)``.
     workers:
-        ``1`` (default, serial), an integer worker count, or ``"auto"`` for
-        the CPU count.  Honored by the SLAM methods
-        (:data:`PARALLEL_METHODS`): the ``native`` engine (and ``"auto"``
-        where it loaded) runs that many OpenMP threads, the others
-        partition the sweep into row blocks for a process pool; results are
-        bit-identical for every setting.  Other methods run serially
-        regardless.  Pass ``backend="dist"`` as a method kwarg to fan the
+        Unset (``None``, the default), an integer worker count, or
+        ``"auto"`` for the CPUs this process may run on
+        (:func:`repro.core.parallel.usable_cpus`).  Honored by the SLAM
+        methods (:data:`PARALLEL_METHODS`): the ``native`` engine (and
+        ``"auto"`` where it loaded) runs that many OpenMP threads, the
+        others partition the sweep into row blocks for a process pool.
+        Unset, the ``native`` engine picks its own team: every usable CPU
+        once the render's envelope pairs reach
+        :data:`repro.core.native.TEAM_MIN_PAIRS` (the paper's 1280 x 960
+        cells do), one thread below it; the ``numpy`` and ``python``
+        engines run serially and start no process pool.  Results are
+        bit-identical for every setting, and ``collect_stats`` reports the
+        team that ran.  Other methods run serially regardless.  Pass
+        ``backend="dist"`` as a method kwarg to fan the
         sweep out to external worker processes via a
         :class:`repro.dist.Coordinator` (pass one as the ``coordinator``
         method kwarg, or let

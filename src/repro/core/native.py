@@ -40,12 +40,19 @@ The C loop parallelizes across rows *inside* one ``sweep_block`` call, so the
 ``workers`` kwarg maps to OpenMP threads (:func:`native_grid` resolves it via
 the same :func:`repro.core.parallel.resolve_workers` as the other engines)
 and the sweep runs serially around it — there is nothing left for a process
-pool to parallelize.  Importing this module sets
-``OMP_WAIT_POLICY=passive`` unless the environment already has a value, so
-the OpenMP threads sleep between calls instead of spinning.
-``backend="dist"`` still routes through the coordinator: the spec from
-:func:`repro.dist.worker.engine_spec` carries the thread count to each
-worker.
+pool to parallelize.  Unset (``workers=None``, :func:`repro.compute_kdv`'s
+default), the engine sizes the team itself: every CPU the process may use
+once the render's envelope pairs reach :data:`TEAM_MIN_PAIRS`, one thread
+below it.  Importing this module sets ``OMP_WAIT_POLICY=passive`` unless
+the environment already has a value, so the OpenMP threads sleep between
+calls instead of spinning.  ``backend="dist"`` still routes through the
+coordinator, with ``workers`` as the shard count; each shard sweeps on one
+thread.
+
+libgomp's thread pool does not survive ``fork``: a child forked after its
+parent ran a team hangs in its own first one.  So a process forked after
+this one started a team runs every native sweep on one thread, whatever
+``workers`` asks (same bits).
 
 Bit-identity: the extension replicates ``slam_bucket_row_numpy``'s exact
 floating-point operand order (see the C source) and is pinned bit-identical
@@ -69,7 +76,7 @@ import numpy as np
 from ..obs import Recorder
 from .envelope import YSortedIndex
 from .kernels import Kernel
-from .parallel import resolve_workers
+from .parallel import resolve_workers, usable_cpus
 from .sweep import (
     PHASE_ENDPOINT_BUCKET,
     PHASE_ENVELOPE_UPDATE,
@@ -170,6 +177,7 @@ __all__ = [
     "NATIVE_ERROR",
     "NATIVE_OPENMP",
     "NativeEngine",
+    "TEAM_MIN_PAIRS",
     "native_grid",
     "native_max_threads",
 ]
@@ -185,6 +193,29 @@ NATIVE_OPENMP = bool(getattr(_impl, "OPENMP", 0))
 
 #: Kernel name -> C kernel id (mirrors the C source's KERNEL_* defines).
 _KERNEL_IDS = {"uniform": 0, "epanechnikov": 1, "quartic": 2}
+
+#: The envelope (row, point) pairs a sweep must reach before an unset
+#: ``workers`` runs it on an OpenMP team; below it, one thread.  On a 2-vCPU
+#: x86-64 guest (EXPERIMENTS.md), 2 threads against 1 read 0.94-1.01x up to
+#: 0.4M pairs on 128x96 and 256x256 rasters, where the second thread did
+#: almost no work, and 1.57-1.74x on the paper's 1280x960 cells
+#: (1.5M-6.0M pairs).  At 1M pairs one thread takes about 4 ms.
+TEAM_MIN_PAIRS = 1_000_000
+
+# Process-wide, like libgomp's pool: set once this process has run a team,
+# and (by the at-fork hook) in a child forked after that, whose sweeps must
+# then stay on one thread.
+_team_started = False
+_fork_serial = False
+
+
+def _after_fork_in_child() -> None:
+    global _fork_serial
+    _fork_serial = _team_started
+
+
+if _impl is not None and hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def native_max_threads() -> int:
@@ -210,15 +241,19 @@ class NativeEngine:
     bit-identical to the per-row ``slam_bucket_row_numpy`` (the
     ``slam_bucket.numpy`` engine) by the extension's operand-order contract.
     ``threads`` is the OpenMP row-parallelism width for each block; with 1
-    (or an OpenMP-less build) the same fused C loop runs serially.
+    (or an OpenMP-less build) the same fused C loop runs serially.  ``None``
+    sizes the team for each block from its envelope pairs (see
+    :data:`TEAM_MIN_PAIRS`); it never crosses the wire.  :attr:`team` is the
+    team the last :meth:`sweep_block` call ran.
     """
 
     name = "slam_bucket.native"
 
-    def __init__(self, threads: int = 1):
+    def __init__(self, threads: "int | None" = 1):
         if not NATIVE_AVAILABLE:
             raise _unavailable_error()
-        self.threads = max(1, int(threads))
+        self.threads = None if threads is None else max(1, int(threads))
+        self.team = self.threads or 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NativeEngine(threads={self.threads})"
@@ -256,9 +291,29 @@ class NativeEngine:
         # the output need not be pre-zeroed.
         out = np.empty((num_rows, len(xs_scaled)), dtype=np.float64)
 
+        global _team_started
         rec = recorder
         t0 = perf_counter() if rec is not None else 0.0
         ks = np.ascontiguousarray(y_centers[start:stop], dtype=np.float64)
+        threads = self.threads
+        if threads is None or rec is not None:
+            # Each row's envelope size, for the team size and the recorder.
+            lo = np.searchsorted(ysorted.sorted_y, ks - bandwidth, side="left")
+            hi = np.searchsorted(ysorted.sorted_y, ks + bandwidth, side="right")
+            counts = hi - lo
+            if threads is None:
+                # every usable CPU within omp_get_max_threads(), which
+                # honours OMP_NUM_THREADS, once the pairs reach the floor
+                threads = (
+                    1 if counts.sum() < TEAM_MIN_PAIRS
+                    else min(native_max_threads(), usable_cpus())
+                )
+        if _fork_serial:
+            threads = 1
+        elif threads > 1:
+            _team_started = True
+        self.team = threads
+        t1 = perf_counter() if rec is not None else 0.0
         xs = np.ascontiguousarray(xs_scaled, dtype=np.float64)
         xy = ysorted.sorted_xy
         if xy.dtype != np.float64 or not xy.flags["C_CONTIGUOUS"]:
@@ -277,23 +332,17 @@ class NativeEngine:
             float(cx),
             float(bandwidth),
             _KERNEL_IDS[kernel.name],
-            self.threads,
+            threads,
         )
         if rec is not None:
-            sweep_seconds = perf_counter() - t0
-            t1 = perf_counter()
-            # Counter parity with the serial loop costs two searchsorted
-            # calls — only paid when a recorder is attached.
-            lo = np.searchsorted(ysorted.sorted_y, ks - bandwidth, side="left")
-            hi = np.searchsorted(ysorted.sorted_y, ks + bandwidth, side="right")
-            counts = hi - lo
+            sweep_seconds = perf_counter() - t1
             nonempty_rows = int(np.count_nonzero(counts))
             rec.count("sweep.rows", num_rows)
             rec.count("sweep.empty_rows", num_rows - nonempty_rows)
             rec.count("sweep.envelope_points", int(counts.sum()))
-            # envelope time is the accounting overhead above; bucket and
+            # envelope time is the searchsorted accounting above; bucket and
             # prefix time are fused (see the docstring)
-            rec.timer(PHASE_ENVELOPE_UPDATE).add(perf_counter() - t1, num_rows)
+            rec.timer(PHASE_ENVELOPE_UPDATE).add(t1 - t0, num_rows)
             if nonempty_rows:
                 rec.timer(PHASE_ENDPOINT_BUCKET).add(0.0, nonempty_rows)
                 rec.timer(PHASE_PREFIX_SWEEP).add(sweep_seconds, nonempty_rows)
@@ -312,25 +361,33 @@ def native_grid(
 ) -> np.ndarray:
     """Grid-level ``native`` compute function (engine-table entry).
 
-    ``workers`` becomes the OpenMP thread count (``"auto"`` resolves to the
-    CPU count exactly like the other engines) and the sweep itself runs
-    serially, reporting ``stats["backend"] == "openmp"`` when it used more
-    than one thread.  ``backend="dist"`` shards across a
-    :class:`repro.dist.Coordinator` pool as usual, each worker running the
-    native engine (or the bit-identical per-row ``numpy`` engine when the
-    worker's checkout has no compiled extension).  Other keyword
-    arguments pass through to :func:`repro.core.sweep.sweep_kdv`.
+    ``workers`` becomes the OpenMP thread count (``"auto"`` resolves to
+    :func:`repro.core.parallel.usable_cpus` exactly like the other engines)
+    and the sweep itself runs serially around it.  ``None`` lets the engine
+    size the team: every usable CPU (within ``omp_get_max_threads()``) once
+    the render's envelope pairs reach :data:`TEAM_MIN_PAIRS`, one thread
+    below it; :func:`repro.compute_kdv` passes ``None`` when ``workers`` is
+    not given, and this function's own default stays 1.  The stats report
+    the team that ran: ``stats["workers"]`` and ``stats["backend"] ==
+    "openmp"`` (or ``"serial"``).  Every setting returns the same bits.
+
+    ``backend="dist"`` shards across a :class:`repro.dist.Coordinator` pool
+    as usual, ``workers`` being the shard count and each shard sweeping on
+    one thread of the native engine (or the bit-identical per-row ``numpy``
+    engine when the worker's checkout has no compiled extension).  Other
+    keyword arguments pass through to :func:`repro.core.sweep.sweep_kdv`.
     """
-    threads = resolve_workers(workers)
-    engine = NativeEngine(threads=threads)
     if backend == "dist":
+        # ``workers`` counts shards here, and a shard's team would
+        # oversubscribe the pool's CPUs: each shard sweeps on one thread
         return sweep_kdv(
-            xy, raster, kernel, bandwidth, engine, workers=workers,
+            xy, raster, kernel, bandwidth, NativeEngine(), workers=workers,
             backend=backend, stats=stats, **kwargs,
         )
+    engine = NativeEngine(None if workers is None else resolve_workers(workers))
     grid = sweep_kdv(xy, raster, kernel, bandwidth, engine, stats=stats, **kwargs)
     if stats is not None:
         # Report the realized parallelism, not the (serial) block executor's.
-        stats["workers"] = threads
-        stats["backend"] = "openmp" if threads > 1 else "serial"
+        stats["workers"] = engine.team
+        stats["backend"] = "openmp" if engine.team > 1 else "serial"
     return grid

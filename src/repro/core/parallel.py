@@ -47,6 +47,7 @@ __all__ = [
     "BACKENDS",
     "BLOCKS_PER_WORKER",
     "resolve_workers",
+    "usable_cpus",
     "validate_backend",
     "partition_rows",
     "run_blocks",
@@ -62,16 +63,27 @@ BACKENDS = ("process", "dist")
 BLOCKS_PER_WORKER = 4
 
 
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: the size of its affinity mask
+    (which ``taskset`` and cgroup cpusets narrow) where the OS has one, else
+    ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return max(1, os.cpu_count() or 1)
+
+
 def resolve_workers(workers: "int | str | None") -> int:
     """Normalize a ``workers`` request to a concrete positive worker count.
 
-    ``None`` and ``1`` mean serial; ``"auto"`` resolves to ``os.cpu_count()``;
-    any other value must be a positive integer.
+    ``None`` and ``1`` mean serial here (the ``native`` engine reads an unset
+    ``None`` itself and sizes an OpenMP team by the render's work, see
+    :func:`repro.core.native.native_grid`); ``"auto"`` resolves to
+    :func:`usable_cpus`; any other value must be a positive integer.
     """
     if workers is None:
         return 1
     if workers == "auto":
-        return max(1, os.cpu_count() or 1)
+        return usable_cpus()
     try:
         count = int(workers)
     except (TypeError, ValueError):

@@ -227,9 +227,10 @@ def sweep_kdv(
         scales each point's aggregate channels, so the sweep itself is
         unchanged and the complexity guarantees still hold.
     workers:
-        ``1`` (default) runs the serial sweep; an integer > 1 dispatches row
-        blocks to that many workers; ``"auto"`` uses the CPU count.  Any
-        setting produces a bit-identical grid.
+        ``1`` (default) or ``None`` runs the serial sweep; an integer > 1
+        dispatches row blocks to that many workers; ``"auto"`` uses the
+        CPUs this process may run on.  Any setting produces a bit-identical
+        grid.
     backend:
         ``"process"`` (default; a process pool over row blocks, ignored when
         one worker resolves) or ``"dist"`` (shards dispatched to external

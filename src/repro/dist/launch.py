@@ -49,7 +49,13 @@ class LocalWorker:
         """SIGKILL the worker — the fault-injection hammer."""
         if self.alive():
             self.process.kill()
+        self.reap()
+
+    def reap(self) -> None:
+        """Wait for the process to exit, then close its stdout pipe."""
         self.process.wait()
+        if self.process.stdout is not None:
+            self.process.stdout.close()
 
     def terminate(self) -> None:
         if self.alive():
@@ -78,7 +84,7 @@ class LocalWorkerPool:
     def shutdown(self, grace_s: float = 3.0) -> None:
         """Terminate and reap every worker: SIGTERM, wait up to ``grace_s``,
         SIGKILL whatever remains, then ``wait()`` all so nothing is left as a
-        zombie for the CI orphan check to find."""
+        zombie for the CI orphan check to find, and close their pipes."""
         for w in self.workers:
             w.terminate()
         deadline = time.monotonic() + grace_s
@@ -89,7 +95,7 @@ class LocalWorkerPool:
             except subprocess.TimeoutExpired:
                 w.process.kill()
         for w in self.workers:
-            w.process.wait()
+            w.reap()
 
     def __enter__(self) -> "LocalWorkerPool":
         return self

@@ -76,6 +76,9 @@ class TileRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
+    # Headers and body leave in two writes; with Nagle's algorithm on, a
+    # keep-alive body can wait for the client's delayed ACK (tens of ms).
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 

@@ -158,15 +158,19 @@ class TestFaultInjection:
                     )
                 finally:
                     killer.cancel()
+                killer.join(timeout=5.0)
                 rec = coord.recorder
                 assert np.array_equal(serial.grid, dist.grid)
                 assert rec.counter_value("dist.worker_deaths") >= 1
                 assert rec.counter_value("dist.retries") >= 1
                 assert rec.counter_value("dist.heartbeats") >= 1
                 assert not victim.alive()
+                # kill() reaps the worker and closes its stdout pipe
+                assert victim.process.stdout.closed
         finally:
             pool.shutdown()
         assert all(not w.alive() for w in pool)
+        assert all(w.process.stdout.closed for w in pool)
 
     def test_deadline_expiry_raises_typed_timeout(self, xy):
         """An unresponsive worker trips DistTimeout — a typed error, not a

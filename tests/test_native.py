@@ -45,7 +45,13 @@ from repro.core import native
 from repro.core.engines import ENGINES
 from repro.core.envelope import YSortedIndex
 from repro.core.kernels import get_kernel
-from repro.core.native import NATIVE_AVAILABLE, NativeEngine, native_max_threads
+from repro.core.native import (
+    NATIVE_AVAILABLE,
+    TEAM_MIN_PAIRS,
+    NativeEngine,
+    native_max_threads,
+)
+from repro.core.parallel import usable_cpus
 from repro.core.slam_bucket import slam_bucket_row_numpy
 from repro.core.sweep import RowSweep
 from repro.dist import shm
@@ -186,7 +192,7 @@ class TestNativeParity:
 
     @pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
     @pytest.mark.parametrize("weighted", (False, True))
-    @pytest.mark.parametrize("threads", (1, 3))
+    @pytest.mark.parametrize("threads", (None, 1, 3))
     def test_kernels_weights_threads(
         self, kernel_name, weighted, threads, cluster_xy, cluster_weights
     ):
@@ -272,6 +278,121 @@ class TestNativeParity:
             NativeEngine().sweep_block(
                 0, 4, y_centers, xs_scaled, ysorted, cx, 9.0, fake
             )
+
+
+#: ``compute_kdv`` keywords for ``cluster_xy``: two renders whose sweeps
+#: total more envelope pairs than ``TEAM_MIN_PAIRS`` (480 sweeps over most of
+#: the 3000 points), one per RAO orientation, and two far below it.
+_TEAM_CASES = {
+    "above-rows": dict(size=(640, 480), bandwidth=80.0),
+    "above-columns": dict(size=(480, 640), bandwidth=80.0),
+    "below-rows": dict(size=(48, 36), bandwidth=9.0),
+    "below-columns": dict(size=(36, 48), bandwidth=9.0),
+}
+_TEAM_REGION = Region(0.0, 0.0, 100.0, 80.0)
+
+#: Uniform points under which every one of 480 rows holds all 3000 points
+#: in its envelope: 1.44M pairs, above ``TEAM_MIN_PAIRS``.
+_ABOVE_FLOOR = """
+import json, os, signal
+import numpy as np
+import repro
+from repro.core.parallel import resolve_workers
+xy = np.random.default_rng(5).uniform((0.0, 0.0), (100.0, 80.0), (3000, 2))
+kw = dict(region=repro.Region(0.0, 0.0, 100.0, 80.0), size=(640, 480),
+          bandwidth=80.0)
+"""
+
+#: Pinned to one CPU after OpenMP read the wider mask at load time.
+_ONE_CPU = """
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+s = repro.compute_kdv(xy, collect_stats=True, **kw).stats
+print(json.dumps([resolve_workers("auto"), s.workers, s.backend,
+                  s.counters["sweep.envelope_points"]]))
+"""
+
+#: A team in the parent (at the default where 2 CPUs are usable, and at
+#: workers=2 anywhere), then a fork.  SIGALRM's default action ends a child
+#: that hangs in libgomp.
+_FORK_AFTER_TEAM = """
+ref = repro.compute_kdv(xy, **kw).grid
+assert np.array_equal(repro.compute_kdv(xy, workers=2, **kw).grid, ref)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    default = repro.compute_kdv(xy, **kw).grid
+    two = repro.compute_kdv(xy, workers=2, collect_stats=True, **kw)
+    ok = (np.array_equal(default, ref) and np.array_equal(two.grid, ref)
+          and two.stats.workers == 1)
+    os._exit(0 if ok else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@needs_native
+class TestDefaultTeam:
+    """``workers`` unset: the engine sizes its own OpenMP team by the
+    render's envelope pairs, with the bits of one thread."""
+
+    @pytest.mark.parametrize("case", list(_TEAM_CASES))
+    @pytest.mark.parametrize("weighted", (False, True))
+    @pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
+    def test_default_equals_one_thread(
+        self, case, weighted, kernel_name, cluster_xy, cluster_weights
+    ):
+        kw = dict(
+            _TEAM_CASES[case], region=_TEAM_REGION, kernel=kernel_name,
+            normalization="none",
+            weights=cluster_weights if weighted else None,
+        )
+        default = compute_kdv(cluster_xy, **kw)
+        serial = compute_kdv(cluster_xy, workers=1, collect_stats=True, **kw)
+        assert default.grid.tobytes() == serial.grid.tobytes()
+        pairs = serial.stats.counters["sweep.envelope_points"]
+        assert (pairs >= TEAM_MIN_PAIRS) == case.startswith("above")
+        assert serial.stats.orientation == case.split("-")[1]
+
+    def test_stats_report_the_team_that_ran(self, cluster_xy):
+        below = compute_kdv(cluster_xy, region=_TEAM_REGION,
+                            collect_stats=True, **_TEAM_CASES["below-rows"])
+        assert (below.stats.backend, below.stats.workers) == ("serial", 1)
+        team = min(native_max_threads(), usable_cpus())
+        if team < 2:
+            pytest.skip("fewer than 2 usable CPUs: no team to start")
+        above = compute_kdv(cluster_xy, region=_TEAM_REGION,
+                            collect_stats=True, **_TEAM_CASES["above-rows"])
+        assert (above.stats.backend, above.stats.workers) == ("openmp", team)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_one_usable_cpu_renders_on_one_thread(self):
+        """Pinned to one CPU (as under ``taskset -c 0``), an above-floor
+        render runs one thread and ``"auto"`` resolves to 1, although
+        OpenMP read the wider mask when it loaded."""
+        script = _ABOVE_FLOOR + _ONE_CPU
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        auto, workers, backend, pairs = json.loads(done.stdout)
+        assert (auto, workers, backend) == (1, 1, "serial")
+        assert pairs >= TEAM_MIN_PAIRS
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
+    def test_child_forked_after_a_team_renders(self):
+        """libgomp's pool does not survive ``fork``: a child forked after
+        its parent ran a team renders on one thread, at the default and at
+        ``workers=2``, with the parent's bits."""
+        script = _ABOVE_FLOOR + _FORK_AFTER_TEAM
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
 
 
 #: A one-row sweep 20 M pixels wide needs (X + 1) * 16 doubles of scratch
@@ -745,6 +866,36 @@ def test_default_dist_render_ships_the_native_spec(cluster_xy, monkeypatch):
     with Coordinator([]) as coord:
         dist = compute_kdv(cluster_xy, backend="dist", coordinator=coord, **kw)
     assert specs == [{"name": "slam_bucket.native", "threads": 1}]
+    assert np.array_equal(dist.grid, compute_kdv(cluster_xy, **kw).grid)
+
+
+@needs_native
+def test_dist_shards_run_one_thread(cluster_xy, monkeypatch):
+    """``workers`` counts dist shards, and each shard's engine runs one
+    OpenMP thread, so a pool's shards never oversubscribe its CPUs."""
+    import repro.dist.worker as worker_mod
+
+    specs = []
+    real = worker_mod.resolve_engine
+
+    def spy(spec):
+        specs.append(dict(spec))
+        return real(spec)
+
+    monkeypatch.setattr(worker_mod, "resolve_engine", spy)
+    kw = dict(size=(32, 24), bandwidth=9.0)
+    server = WorkerServer(port=0, heartbeat_s=0.2)
+    thread = server.start_in_thread()
+    try:
+        with Coordinator([("127.0.0.1", server.port)]) as coord:
+            assert coord.connect() == 1
+            dist = compute_kdv(cluster_xy, backend="dist", coordinator=coord,
+                               workers=4, **kw)
+    finally:
+        server.stop()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert specs == [{"name": "slam_bucket.native", "threads": 1}] * 4
     assert np.array_equal(dist.grid, compute_kdv(cluster_xy, **kw).grid)
 
 

@@ -8,6 +8,7 @@ order regardless of blocking.
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import numpy as np
@@ -46,6 +47,14 @@ class TestResolveWorkers:
 
     def test_auto_is_positive(self):
         assert resolve_workers("auto") >= 1
+
+    def test_auto_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert resolve_workers("auto") == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_workers("auto") == 8
 
     def test_int_passthrough(self):
         assert resolve_workers(4) == 4
@@ -206,6 +215,19 @@ class TestStats:
         assert s.orientation == "rows"
         assert s.elapsed_seconds > 0
         assert s.rows_per_sec > 0
+
+    def test_row_engine_default_starts_no_pool(self, xy, monkeypatch):
+        """Unset ``workers`` sizes a team only for the native engine; the
+        row engines sweep serially in this process."""
+        import repro.core.parallel as parallel_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", refuse)
+        result = compute_kdv(xy, size=(16, 12), bandwidth=9.0,
+                             method="slam_bucket_rao", engine="numpy")
+        assert (result.stats.backend, result.stats.workers) == ("serial", 1)
 
     def test_parallel_block_count(self, xy):
         # engine="numpy": the default engine runs OpenMP threads instead of

@@ -171,6 +171,25 @@ class TestOpsEndpoints:
         assert counters["serve.http.requests"] == len(observed)
 
 
+    def test_replies_leave_without_nagle_delay(self, server, monkeypatch):
+        """Headers and body leave in two writes: ``TCP_NODELAY`` on the
+        accepted socket keeps a keep-alive body from waiting for the
+        client's delayed ACK."""
+        from repro.serve.http import TileRequestHandler
+
+        nodelay = []
+        real = TileRequestHandler.setup
+
+        def setup(self):
+            real(self)
+            nodelay.append(self.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(TileRequestHandler, "setup", setup)
+        assert fetch(server.url + "/tiles/1/0/0.png")[0] == 200
+        assert nodelay and all(nodelay)
+
+
 class TestIngestEndpoint:
     def test_ingest_inserts_and_invalidates(self, server):
         fetch(server.url + "/tiles/2/0/0")
