@@ -10,6 +10,12 @@ numbers once the service sheds), p50/p99 latency, the single-flight
 coalescing ratio, and the cache hit rate, and writes the machine-readable
 ``BENCH_serving.json`` through :class:`repro.bench.report.BenchReport`.
 
+The ``png`` cells time the ``.png`` layer offline: every tile the run
+left cached is coloured (``TileService.colorize_tile``) and deflated
+(``encode_png``) as the HTTP path does, after one untimed call that builds
+the colormap's table.  They report per-tile means: ``colorize_ms``,
+``deflate_ms`` and the PNG's ``bytes``.
+
 Knobs (environment variables, all optional):
 
 ``REPRO_BENCH_SERVE_N``         dataset size (default 20_000 points)
@@ -33,6 +39,7 @@ import numpy as np
 
 from repro.obs import Recorder
 from repro.serve import ServiceOverloaded, ServiceTimeout, TileService
+from repro.viz.image import encode_png
 
 MAX_ZOOM = 3  # 1 + 4 + 16 + 64 = 85 distinct tiles
 
@@ -112,6 +119,7 @@ def run_serving_bench(
         for result in pool.map(client, shards):
             latencies.extend(result)
     wall = time.perf_counter() - wall_start
+    png = time_png_layer(service)
     service.close()
 
     lat_ms = np.sort(np.array(latencies)) * 1e3
@@ -137,7 +145,31 @@ def run_serving_bench(
             "renders": float(recorder.timer("tiles.render").calls),
             "wall_s": wall,
         },
+        "png": png,
         "recorder": recorder,
+    }
+
+
+def time_png_layer(service: TileService) -> dict:
+    """Per-tile means of colouring and deflating every cached tile."""
+    grids = [service._cache.get(key, count=False) for key in service._cache.keys()]
+    grids = [grid for grid in grids if grid is not None]
+    if not grids:
+        return {"colorize_ms": 0.0, "deflate_ms": 0.0, "bytes": 0.0}
+    service.colorize_tile(grids[0])  # builds the colormap's table
+    colorize_s = deflate_s = 0.0
+    size = 0
+    for grid in grids:
+        start = time.perf_counter()
+        rgb = service.colorize_tile(grid)
+        middle = time.perf_counter()
+        size += len(encode_png(rgb))
+        deflate_s += time.perf_counter() - middle
+        colorize_s += middle - start
+    return {
+        "colorize_ms": colorize_s / len(grids) * 1e3,
+        "deflate_ms": deflate_s / len(grids) * 1e3,
+        "bytes": size / len(grids),
     }
 
 
@@ -173,6 +205,7 @@ def main(argv: "list[str] | None" = None) -> int:
         seed=ns.seed,
     )
     metrics = outcome["metrics"]
+    png = outcome["png"]
     title = (
         f"Tile serving: {ns.requests} requests from {ns.clients} clients, "
         f"{ns.points:,} points, {ns.tile_size}px tiles, {ns.workers} workers"
@@ -180,6 +213,8 @@ def main(argv: "list[str] | None" = None) -> int:
     lines = [title, "-" * len(title)]
     for name, value in metrics.items():
         lines.append(f"{name:20s} {value:12.3f}")
+    for name, value in png.items():
+        lines.append(f"{'png.' + name:20s} {value:12.3f}")
     write_report("serving", "\n".join(lines))
 
     report = BenchReport("serving", title=title, unit="mixed", key_fields=["metric"])
@@ -194,6 +229,8 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     for name, value in metrics.items():
         report.add_cell((name,), value)
+    for name, value in png.items():
+        report.add_cell(("png", name), value)
     report.attach_recorder(outcome["recorder"])
     path = report.write(json_dir())
     print(f"\n[bench report: {path}]")

@@ -172,12 +172,16 @@ class TileRequestHandler(BaseHTTPRequestHandler):
             )
             if as_png:
                 colormap = _query_param(query, "colormap", "heat")
+                from ..viz.image import encode_png
+
+                colorize_start = perf_counter()
                 rgb = self.service.colorize_tile(
                     resp.grid, colormap=colormap, window=window
                 )
-                from ..viz.image import encode_png
-
+                encode_start = perf_counter()
                 body, content_type = encode_png(rgb), "image/png"
+                rec.timer("serve.colorize").add(encode_start - colorize_start)
+                rec.timer("serve.encode").add(perf_counter() - encode_start)
             else:
                 buf = io.BytesIO()
                 np.save(buf, resp.grid, allow_pickle=False)

@@ -36,9 +36,10 @@ composes five mechanisms, each individually simple:
     additive decomposition the paper's real-time plans rest on); the
     overview's peak anchors a stable color scale for ``.png`` tiles.
     A version counter keeps renders that started before an ingest from
-    polluting the cache afterwards, and the generation's shared y-sorted
-    index (one O(n log n) sort serving every tile render of that
-    generation) is dropped and lazily rebuilt.
+    polluting the cache afterwards.  The generation's point snapshot and
+    shared y-sorted index (one O(n log n) sort serving every tile render
+    of that generation) are dropped, and built again by the generation's
+    first render, so an ingest copies no history.
 
 **Quality degradation ladder.**
     With a :class:`~repro.serve.quality.QualityPolicy` attached, a
@@ -319,8 +320,9 @@ class TileService:
 
         # Served views, keyed by window length (None = the all-time view).
         # Each view owns a streaming engine (incrementally-maintained overview
-        # grid + live batches), a point snapshot, a cache-guarding version
-        # counter, and the generation's shared y-sorted index.
+        # grid + live batches), a cache-guarding version counter, and the
+        # generation's point snapshot and shared y-sorted index, both built
+        # on first read.
         base_stream = self._new_stream(require_timestamps=False)
         base_stream.insert(xy, seed_t)
         self._views: "dict[float | None, WindowView]" = {
@@ -722,7 +724,7 @@ class TileService:
             # a tier outside the calibrated set (policy changed mid-flight):
             # fall back to the analysis-backed bound
             bound = max(
-                self.quality.theoretical_bound(tier, len(view.points)),
+                self.quality.theoretical_bound(tier, len(view.stream)),
                 self.quality.error_floor,
             )
         return TileResponse(grid=grid, tier=tier.name, error_bound=bound)
@@ -1090,7 +1092,8 @@ class TileService:
     def _points(self) -> np.ndarray:
         """The all-time view's point snapshot (kept for tests/tools that
         re-render tiles outside the service)."""
-        return self._views[None].points
+        with self._lock:
+            return self._views[None].points
 
     @property
     def queue_depth(self) -> int:

@@ -13,14 +13,18 @@ keeps per served view of the live dataset: the maintained
 :class:`~repro.extensions.streaming.StreamingKDV` state, the point
 snapshot tiles render from, the generation version that guards the tile
 cache, and the lazily-built y-sorted index shared by every render of one
-generation.  The all-time view (``seconds is None``) and every
-``window=<seconds>`` view are the same type, so the serving code has one
-path for both.
+generation.  Everything per generation is built on its first read, so an
+ingest or tick copies no history and a view nobody renders never
+concatenates its batches.  The all-time view (``seconds is None``) and
+every ``window=<seconds>`` view are the same type, so the serving code has
+one path for both.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from ..core.envelope import YSortedIndex
 
@@ -60,8 +64,10 @@ class WindowView:
         The maintained :class:`~repro.extensions.streaming.StreamingKDV`
         (overview grid + live batches).
     points:
-        Snapshot array of the live points, what tile renders consume.
-        Refreshed whenever the stream changes.
+        Snapshot array of the generation's live points, what tile renders
+        consume.  Concatenated from the stream's batches on the first read
+        of each generation (the caller holds the service lock), so several
+        ingests and ticks between two reads share one copy.
     version:
         Ingest/expiry generation counter; a render started under an older
         version is answered but never cached.
@@ -82,24 +88,31 @@ class WindowView:
     """
 
     __slots__ = (
-        "seconds", "stream", "points", "version", "ysorted", "zorder",
+        "seconds", "stream", "_points", "version", "ysorted", "zorder",
         "quality_bounds",
     )
 
     def __init__(self, seconds: "float | None", stream):
         self.seconds = seconds
         self.stream = stream
-        self.points = stream.points()
+        self._points: "np.ndarray | None" = None
         self.version = 0
         self.ysorted: "YSortedIndex | None" = None
         self.zorder = None
         self.quality_bounds: "dict[str, float] | None" = None
 
+    @property
+    def points(self) -> np.ndarray:
+        points = self._points
+        if points is None:
+            points = self._points = self.stream.points()
+        return points
+
     def bump(self) -> None:
-        """Refresh the snapshot after the stream changed: new generation,
-        new points array; the y-sorted index, Z-order permutation, and
-        calibrated quality bounds are dropped for lazy rebuilds."""
-        self.points = self.stream.points()
+        """Start a new generation after the stream changed: the point
+        snapshot, y-sorted index, Z-order permutation, and calibrated
+        quality bounds are dropped for lazy rebuilds."""
+        self._points = None
         self.version += 1
         self.ysorted = None
         self.zorder = None
@@ -140,7 +153,7 @@ class WindowView:
         ``(None, False)`` while the view is empty."""
         if self.ysorted is not None:
             return self.ysorted, False
-        if not len(self.points):
+        if not len(self.stream):
             return None, False
         self.ysorted = YSortedIndex(self.points)
         return self.ysorted, True
@@ -152,7 +165,7 @@ class WindowView:
         ``(None, False)`` while the view is empty."""
         if self.zorder is not None:
             return self.zorder, False
-        if not len(self.points):
+        if not len(self.stream):
             return None, False
         from ..index.zorder_curve import zorder_argsort
 

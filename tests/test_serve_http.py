@@ -155,6 +155,21 @@ class TestOpsEndpoints:
         assert payload["cache"]["hits"] == 1
         assert payload["queue"]["limit"] == server.service.queue_limit
 
+    def test_metricz_times_the_png_layer(self, server):
+        """One ``serve.colorize`` and one ``serve.encode`` call per ``.png``
+        200, none for ``.npy`` or a failed ``.png``."""
+        fetch(server.url + "/tiles/1/0/0.png")
+        fetch(server.url + "/tiles/1/0/0.png?colormap=gray")  # a cache hit
+        fetch(server.url + "/tiles/1/1/0.png")
+        fetch(server.url + "/tiles/1/1/1")
+        fetch(server.url + "/tiles/1/1/1.npy")
+        assert fetch(server.url + "/tiles/1/1/1.png?colormap=jet")[0] == 404
+        _, _, body = fetch(server.url + "/metricz")
+        phases = json.loads(body)["recorder"]["phases"]
+        for name in ("serve.colorize", "serve.encode"):
+            assert phases[name]["calls"] == 3, name
+            assert phases[name]["total_s"] > 0, name
+
     def test_http_counters_match_observed_statuses(self, server):
         observed = []
         observed.append(fetch(server.url + "/tiles/1/0/0")[0])   # 200

@@ -201,6 +201,113 @@ class TestWindowedTiles:
                     assert got.tobytes() == cached.tobytes()
             assert service._cache.hits > hits0  # some tiles never re-rendered
 
+    def test_snapshots_are_built_on_read(self, monkeypatch):
+        """An ingest or tick copies no view's history.  A view's snapshot is
+        concatenated on the first read of a generation, once for all the
+        changes since the last read, and a view nobody reads never builds
+        one."""
+        rng = np.random.default_rng(17)
+        window = 25_000_000.0  # a fifth of the seed's four years
+        span = 5 * window
+        n = 2_000
+        seed = PointSet(
+            rng.uniform((0.0, 0.0), (1000.0, 1000.0), (n, 2)),
+            t=np.sort(rng.uniform(0.0, span, n)),
+        )
+        service = make_service(seed, window_s=window)
+        calls = []
+        real = StreamingKDV.points
+
+        def spy(stream):
+            calls.append(stream)
+            return real(stream)
+
+        monkeypatch.setattr(StreamingKDV, "points", spy)
+        feed_xy, feed_t = [seed.xy], [seed.t]
+        with service:
+            step = window / 400  # the watermark's advance per batch
+            for i in range(20):
+                xy = rng.uniform((0.0, 0.0), (1000.0, 1000.0), (50, 2))
+                t = span + i * step + np.linspace(0.0, step, 50)
+                service.ingest(xy, t)
+                feed_xy.append(xy)
+                feed_t.append(t)
+                if i % 4 == 3:
+                    assert service.tick()["expired"] > 0
+            assert calls == []
+
+            service.tile_image(1, 0, 1, window=window)
+            assert calls == [service._views[window].stream]
+            service.tile_image(1, 1, 0, window=window)
+            assert len(calls) == 1
+
+            xy, t = np.vstack(feed_xy), np.concatenate(feed_t)
+            live = xy[t >= t.max() - window]
+            got = service.get_tile(1, 0, 1, window=window)  # the cached grid
+            want = fresh_render(live, service.scheme, 1, 0, 1)
+            assert np.array_equal(got, want)
+        assert len(calls) == 1
+
+    def test_concurrent_reads_see_their_generation(self):
+        """Window reads race ingests and ticks on a short switch interval.
+        Each read builds or reuses the snapshot under the service lock, so
+        none fails, and once the writers stop the snapshot is the live
+        window's: a snapshot built from a generation an ingest has already
+        ended, and kept, would show in the last render."""
+        import sys
+        import threading
+
+        window = 100.0
+        seed = timestamped_seed(300)
+        service = make_service(seed, window_s=window)
+        rng = np.random.default_rng(23)
+        batches = [
+            (rng.uniform((0.0, 0.0), (1000.0, 1000.0), (20, 2)),
+             300.0 + 5.0 * i + np.arange(20) / 4)
+            for i in range(60)
+        ]
+        errors = []
+
+        def run(job):
+            try:
+                job()
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        def ingest():
+            for xy, t in batches:
+                service.ingest(xy, t)
+
+        def tick():
+            for _ in range(60):
+                service.tick()
+
+        def read(tx):
+            for i in range(30):
+                service.get_tile(1, tx, i % 2, window=window)
+
+        jobs = [ingest, tick, *(lambda tx=tx: read(tx) for tx in (0, 1, 0, 1))]
+        threads = [threading.Thread(target=run, args=(job,)) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with service:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                service.tick()
+                xy = np.vstack([seed.xy, *(b[0] for b in batches)])
+                t = np.concatenate([seed.t, *(b[1] for b in batches)])
+                live = xy[t >= t.max() - window]
+                got = service.get_tile(2, 3, 3, window=window)  # never read
+                want = fresh_render(live, service.scheme, 2, 3, 3)
+                assert np.array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)
+
     @staticmethod
     def _corner_tiles():
         # the expired corner cluster (10..60 m) inflated by one bandwidth

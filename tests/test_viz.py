@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.viz.bandwidth import scaled_bandwidth, scott_bandwidth
-from repro.viz.colormap import COLORMAPS, apply_colormap, normalize_grid
+from repro.viz.colormap import (
+    COLORMAPS,
+    _interp_colorize,
+    _step_table,
+    _StepTable,
+    apply_colormap,
+    colorize,
+    normalize_grid,
+)
 from repro.viz.image import ascii_preview, write_pgm, write_ppm
 
 
@@ -215,3 +225,72 @@ class TestColorize:
 
         with pytest.raises(ValueError):
             colorize(np.zeros((2, 2)), "jet")
+
+
+def _edge_probes(table: _StepTable) -> np.ndarray:
+    """Every breakpoint with its 1-ulp neighbours, the ends of [0, 1], and
+    values outside it."""
+    bps = table.breakpoints
+    return np.concatenate((
+        bps, np.nextafter(bps, -1.0), np.nextafter(bps, 2.0),
+        [0.0, -0.0, 1.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)],
+        [-1e300, -1.0, -1e-300, np.nextafter(1.0, 2.0), 2.0, 1e300],
+        [np.inf, -np.inf],
+    ))
+
+
+@pytest.mark.parametrize("name", sorted(COLORMAPS))
+class TestColorizeTable:
+    """``colorize`` answers from a step table; the ``np.interp`` path it
+    was built from (``_interp_colorize``) is the oracle."""
+
+    def test_table_shape(self, name):
+        table = _step_table(tuple(COLORMAPS[name]))
+        steps = {"heat": 617, "viridis": 644, "gray": 255}[name]
+        assert len(table.breakpoints) == steps
+        assert np.all(np.diff(table.breakpoints) > 0)
+        assert table.colors.shape == (steps + 1, 3)
+        # the most breakpoints any bucket holds: one compare each per value
+        assert len(table.thresholds) == (1 if name == "gray" else 2)
+
+    def test_breakpoints_and_edges_match_reference(self, name):
+        stops = COLORMAPS[name]
+        probes = _edge_probes(_step_table(tuple(stops)))
+        np.testing.assert_array_equal(
+            colorize(probes, name), _interp_colorize(probes, stops)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=200))
+    def test_unit_interval_draws_match_reference(self, name, values):
+        norm = np.array(values).reshape(-1, 1)
+        np.testing.assert_array_equal(
+            colorize(norm, name), _interp_colorize(norm, COLORMAPS[name])
+        )
+
+    def test_nan_takes_the_zero_colour(self, name):
+        out = colorize(np.array([[np.nan, 0.5], [0.0, np.nan]]), name)
+        assert out.shape == (2, 2, 3) and out.dtype == np.uint8
+        zero = _interp_colorize(np.array([0.0]), COLORMAPS[name])[0]
+        assert (out[0, 0] == zero).all() and (out[1, 1] == zero).all()
+
+    def test_a_dropped_breakpoint_is_caught(self, name):
+        """The probes above see any missing step, wherever it is."""
+        stops = COLORMAPS[name]
+        table = _step_table(tuple(stops))
+        probes = _edge_probes(table)
+        want = _interp_colorize(probes, stops)
+        for i in (0, len(table.breakpoints) // 2, len(table.breakpoints) - 1):
+            bad = _StepTable.from_breakpoints(
+                np.delete(table.breakpoints, i), stops
+            )
+            assert not np.array_equal(bad.lookup(probes), want)
+
+    def test_apply_colormap_matches_reference(self, name, rng):
+        grid = rng.gamma(0.5, 2.0, (40, 30))
+        grid[:5] = 0.0
+        grid[7, 7] = 1e6  # clipped by the 99.5th-percentile scale
+        np.testing.assert_array_equal(
+            apply_colormap(grid, name),
+            _interp_colorize(normalize_grid(grid), COLORMAPS[name]),
+        )
