@@ -3,6 +3,12 @@
 The coordinator owns the fault-tolerance and scheduling policy; the workers
 stay dumb:
 
+* **One loop per render, no threads.**  A render's shards are driven from
+  the thread that calls :meth:`Coordinator.render_sweep`, through one
+  ``selectors`` loop over the sockets of its attempts in flight: start
+  queued shards on idle workers, wait, handle each frame as it arrives,
+  then check deadlines and steal triggers.  Concurrent renders share the
+  pool through a condition variable, one shard in flight per worker.
 * **Deterministic merge.**  Shard results are written into the output grid
   at their planned row band, so the assembled grid is a pure row
   concatenation — bit-identical to the serial sweep for every shard count
@@ -52,6 +58,7 @@ kept on :attr:`Coordinator.last_report`.
 from __future__ import annotations
 
 import os
+import selectors
 import socket
 import threading
 import time
@@ -116,7 +123,7 @@ class WorkerAddress:
         self.hello: "dict | None" = None
         #: Set when a send/recv on this worker failed; cleared on reconnect.
         self.dead = False
-        #: Checked out by a dispatcher thread (one in-flight shard per worker).
+        #: Claimed by a render (one in-flight shard per worker).
         self.busy = False
         #: Cleared when a runtime shm failure demotes this worker to pickle.
         self.shm_ok = True
@@ -131,24 +138,19 @@ class WorkerAddress:
 
 
 class _ShardJob:
-    """Mutable scheduling state for one unit of work during a render.
+    """Scheduling state for one unit of work during a render.
 
     ``stop`` is the job's current exclusive end row; work stealing shrinks
-    it (never grows it), and only the job's own dispatch thread mutates it,
-    so readers just need the lock for a consistent snapshot.  Thief jobs
-    minted by steals carry ``depth=1`` and are never stolen from again.
+    it, never grows it.  Thief jobs minted by steals carry ``depth=1`` and
+    are never stolen from again.  ``timeouts`` counts expired attempts
+    against the retry budget, ``attempts`` (deaths and timeouts) sets the
+    backoff exponent, and a timed-out job waits in the queue until
+    ``not_before``.
     """
 
     __slots__ = (
-        "shard_id",
-        "row_start",
-        "stop",
-        "depth",
-        "steals",
-        "stolen_from",
-        "lock",
-        "thieves",
-        "thief_errors",
+        "shard_id", "row_start", "stop", "depth", "steals", "stolen_from",
+        "timeouts", "attempts", "not_before",
     )
 
     def __init__(
@@ -165,51 +167,86 @@ class _ShardJob:
         self.depth = depth
         self.steals = 0
         self.stolen_from = stolen_from
-        self.lock = threading.Lock()
-        self.thieves: list[threading.Thread] = []
-        self.thief_errors: list[BaseException] = []
+        self.timeouts = 0
+        self.attempts = 0
+        self.not_before = 0.0
 
-    def current_stop(self) -> int:
-        with self.lock:
-            return self.stop
+
+class _Attempt:
+    """One job dispatched to one worker, waiting for its RESULT."""
+
+    __slots__ = (
+        "job", "worker", "row_stop", "predicted", "started", "last_alive",
+        "rows_done",
+    )
+
+    def __init__(self, job: _ShardJob, worker: "WorkerAddress", predicted):
+        self.job = job
+        self.worker = worker
+        #: The band's end row at dispatch; a RESULT without ``row_stop``
+        #: computed all of it.
+        self.row_stop = job.stop
+        self.predicted = predicted
+        self.started = time.monotonic()
+        self.last_alive = self.started
+        self.rows_done = 0
 
 
 class _RenderState:
-    """Shared per-render context: the output grid, task builders, pricing
-    state, and the thread-safe result collections."""
+    """One render's dispatcher, run on the thread that called
+    :meth:`Coordinator.render_sweep`.
+
+    It owns the job queue (widest predicted band first), the attempts in
+    flight and one selector over their sockets.  Each pass of :meth:`run`
+    starts queued jobs on idle workers, waits on the selector, handles each
+    frame as it arrives, then checks the deadlines and steal triggers of
+    the attempts that sent nothing.
+    """
 
     def __init__(
         self,
+        coord: "Coordinator",
+        plan: ShardPlan,
         grid: np.ndarray,
         pairs: np.ndarray,
         ekey: str,
-        model: CostModel,
         make_task,
-        make_task_shm,
+        shared: bool,
         rec: Recorder,
-        next_shard_id: int,
     ):
+        self.coord = coord
         self.grid = grid
         self.pairs = pairs
         self.ekey = ekey
-        self.model = model
+        self.model = coord.cost_model
+        #: ``make_task(shard_id, row_start, row_stop, shared)``: the TASK
+        #: payload, offsets into the render's segments when ``shared``.
         self.make_task = make_task
-        self.make_task_shm = make_task_shm
+        self.shared = shared
         self.rec = rec
-        self.lock = threading.Lock()
+        #: Widest predicted band first: the longest-processing-time order
+        #: pairs expensive bands with the fastest idle workers (the
+        #: capacity-aware ``_claim_idle`` picks them).
+        self.queue = sorted(
+            (
+                _ShardJob(s.shard_id, s.row_start, s.row_stop)
+                for s in plan
+                if s.rows > 0
+            ),
+            key=lambda job: -self.band_pairs(job.row_start, job.stop),
+        )
+        self.selector = selectors.DefaultSelector()
         self.snapshots: list[dict] = []
         self.records: list[ShardRecord] = []
-        self._next_shard_id = next_shard_id
+        self._next_shard_id = len(plan)
+        #: The first failure (ERROR frame, exhausted retries).  Once set,
+        #: nothing new starts; the attempts in flight finish or expire, and
+        #: then :meth:`run` raises it.
+        self.error: "BaseException | None" = None
         #: Set when an attempt was given up on (deadline expiry, worker
         #: death, shm demotion, ERROR frame): its worker may still write
         #: into this render's segments, so they must not be reused.
         self.abandoned = False
-
-    def new_shard_id(self) -> int:
-        with self.lock:
-            sid = self._next_shard_id
-            self._next_shard_id += 1
-            return sid
 
     def band_pairs(self, row_start: int, row_stop: int) -> float:
         if row_stop <= row_start:
@@ -224,13 +261,351 @@ class _RenderState:
             self.band_pairs(row_start, row_stop),
         )
 
-    def add_snapshot(self, snapshot: dict) -> None:
-        with self.lock:
+    def _inflight(self) -> "list[_Attempt]":
+        return [key.data for key in self.selector.get_map().values()]
+
+    # -- the loop ----------------------------------------------------------
+
+    def run(self) -> None:
+        """Drive every job to completion, then raise the first failure."""
+        try:
+            while self._inflight() or (self.queue and self.error is None):
+                self._start_ready()
+                if self._inflight():
+                    self._wait_and_handle()
+                elif self.queue and self.error is None:
+                    self._idle()
+        finally:
+            # Whatever ends the loop (make_task raising, KeyboardInterrupt),
+            # no worker stays checked out; one left mid-shard has a stream
+            # nobody will read, so its connection goes.
+            for att in self._inflight():
+                self.abandoned = True
+                self._drop(att, dead=True)
+            self.selector.close()
+        if self.error is not None:
+            raise self.error
+
+    def _start_ready(self) -> None:
+        """Start queued jobs on idle workers, in queue order, until none is
+        idle.  Jobs still waiting out a backoff keep their place."""
+        if self.error is not None:
+            return
+        # A job whose whole band was stolen away has nothing left to run.
+        self.queue = [job for job in self.queue if job.stop > job.row_start]
+        now = time.monotonic()
+        for job in [job for job in self.queue if job.not_before <= now]:
+            worker = self.coord._claim_idle()
+            if worker is None:
+                return
+            self.queue.remove(job)
+            self._start(job, worker)
+
+    def _idle(self) -> None:
+        """Nothing of this render is in flight and no worker was idle: wait
+        out a backoff, wait for a concurrent render to free a worker, or —
+        when no live worker exists at all — compute the next job in
+        process."""
+        now = time.monotonic()
+        ready = [job for job in self.queue if job.not_before <= now]
+        if not ready:
+            # Nothing in flight, so this sleep stalls no other attempt.
+            time.sleep(min(job.not_before for job in self.queue) - now)
+        elif not self.coord._await_worker():
+            self.queue.remove(ready[0])
+            self._run_local(ready[0])
+
+    def _wait_and_handle(self) -> None:
+        coord = self.coord
+        now = time.monotonic()
+        inflight = self._inflight()
+        if coord.deadline_s is None:
+            slice_s = 0.5
+        else:
+            slice_s = min(
+                [0.2]
+                + [coord.deadline_s - (now - a.last_alive) for a in inflight]
+            )
+        if self.error is None:  # wake for the end of a queued backoff
+            slice_s = min(
+                [slice_s]
+                + [j.not_before - now for j in self.queue if j.not_before > now]
+            )
+        slice_s = max(slice_s, 0.0)
+        heard = set()
+        for key, _ in self.selector.select(slice_s):
+            heard.add(key.data)
+            self._on_frame(key.data)
+        now = time.monotonic()
+        for att in self._inflight():
+            if att in heard:
+                continue
+            if (
+                coord.deadline_s is not None
+                and now - att.last_alive >= coord.deadline_s
+            ):
+                self._give_up(att, timed_out=True)
+            else:
+                self._maybe_steal(att, now)
+
+    # -- attempts ----------------------------------------------------------
+
+    def _start(self, job: _ShardJob, worker: "WorkerAddress") -> None:
+        """Send one job to a claimed worker.  The transport is picked per
+        worker: an shm-capable one gets the offsets-only task, everyone else
+        the pickle task."""
+        shared = self.shared and self.coord._worker_shm_ok(worker)
+        try:
+            task = self.make_task(job.shard_id, job.row_start, job.stop, shared)
+        except BaseException:
+            self.coord._checkin(worker)
+            raise
+        att = _Attempt(job, worker, self.predict(job.row_start, job.stop))
+        self.selector.register(worker.sock, selectors.EVENT_READ, att)
+        try:
+            self.rec.count(
+                "dist.bytes_tx", proto.send_msg(worker.sock, proto.MSG_TASK, task)
+            )
+        except OSError:
+            self._give_up(att)
+
+    def _run_local(self, job: _ShardJob) -> None:
+        r0, r1 = job.row_start, job.stop
+        predicted = self.predict(r0, r1)
+        self.rec.count("dist.local_shards", 1)
+        t0 = time.perf_counter()
+        block, snapshot = compute_shard(
+            self.make_task(job.shard_id, r0, r1, False)
+        )
+        self._finish(
+            job, "local", r1, block, snapshot, time.perf_counter() - t0,
+            predicted,
+        )
+
+    def _drop(self, att: _Attempt, dead: bool = False) -> None:
+        """Stop waiting on an attempt and check its worker back in."""
+        self.selector.unregister(att.worker.sock)
+        self.coord._checkin(att.worker, dead=dead)
+
+    def _give_up(self, att: _Attempt, timed_out: bool = False) -> None:
+        """Abandon an attempt whose connection broke or that sent nothing for
+        ``deadline_s``, and requeue its job.
+
+        The worker is checked in as dead either way: a timed-out one may
+        still be computing the stale shard, and its eventual result would
+        desynchronize the stream (the worker process survives and accepts a
+        fresh connection).  Deaths never consume the retry budget — a job
+        can migrate across any number of dying workers as long as somebody
+        (ultimately this process) remains to run it.  A timed-out job waits
+        out its backoff in the queue.
+        """
+        coord = self.coord
+        self._drop(att, dead=True)
+        self.abandoned = True
+        self.rec.count("dist.retries", 1)
+        job = att.job
+        job.attempts += 1
+        if not timed_out:
+            self.rec.count("dist.worker_deaths", 1)
+            self.queue.insert(0, job)
+            return
+        job.timeouts += 1
+        if job.timeouts > coord.max_retries:
+            if self.error is None:
+                self.error = DistTimeout(
+                    f"shard {job.shard_id} timed out "
+                    f"{job.timeouts}x (deadline_s={coord.deadline_s}, "
+                    f"max_retries={coord.max_retries})"
+                )
+            return
+        job.not_before = time.monotonic() + min(
+            coord.backoff_base_s * (2.0 ** (job.attempts - 1)),
+            coord.backoff_max_s,
+        )
+        self.queue.insert(0, job)
+
+    def _on_frame(self, att: _Attempt) -> None:
+        """Read and handle one frame from an attempt's worker."""
+        try:
+            msg_type, payload, nbytes = proto.recv_msg(
+                att.worker.sock, timeout=0.5
+            )
+        except (ConnectionClosed, ProtocolError, OSError):
+            self._give_up(att)
+            return
+        self.rec.count("dist.bytes_rx", nbytes)
+        job = att.job
+        if msg_type == proto.MSG_HEARTBEAT:
+            self.rec.count("dist.heartbeats", 1)
+            att.last_alive = time.monotonic()
+            if isinstance(payload, dict) and payload.get("shard_id") == job.shard_id:
+                att.rows_done = max(
+                    att.rows_done, int(payload.get("rows_done") or 0)
+                )
+            self._maybe_steal(att, att.last_alive)
+        elif msg_type == proto.MSG_RESULT:
+            if payload.get("shard_id") != job.shard_id:
+                # A stale result from an earlier (timed-out) dispatch on a
+                # reused connection — cannot happen because timed-out
+                # connections are abandoned, so treat it as corruption.
+                self._give_up(att)
+                return
+            elapsed = time.monotonic() - att.started
+            self._drop(att)
+            result_stop = int(payload.get("row_stop", att.row_stop))
+            block = None
+            if payload.get("shm"):
+                # The band is already in the response segment.
+                self.rec.count(
+                    "dist.shm_bytes", int(payload.get("shm_bytes") or 0)
+                )
+            else:
+                block = payload["block"]
+            self._finish(
+                job, att.worker.addr, result_stop, block,
+                payload.get("snapshot"), elapsed, att.predicted,
+            )
+        elif msg_type == proto.MSG_ERROR:
+            self._drop(att)
+            self.abandoned = True
+            if payload.get("shm_failed"):
+                # The worker could not map the segments (stale namespace,
+                # permissions, ...): demote it to pickle for the life of the
+                # pool and resubmit — degrade the transport, not the render.
+                att.worker.shm_ok = False
+                self.rec.count("dist.shm_demotions", 1)
+                self.rec.count("dist.retries", 1)
+                self.queue.insert(0, job)
+            elif self.error is None:
+                # The shard is poisoned (e.g. an unknown engine spec), not
+                # the worker.
+                self.error = DistError(
+                    f"worker {att.worker.addr} failed shard "
+                    f"{payload.get('shard_id')}: {payload.get('error')}"
+                )
+        # other frame types (PONG from an earlier probe) are ignored
+
+    def _finish(
+        self,
+        job: _ShardJob,
+        worker_key: str,
+        result_stop: int,
+        block: "np.ndarray | None",
+        snapshot: "dict | None",
+        elapsed: float,
+        predicted: "float | None",
+    ) -> None:
+        """Commit one successful attempt: write the rows this job still owns
+        (steals may have shrunk it since dispatch — the thief always wins
+        the overlap), feed the calibration, and record the outcome."""
+        row_start = job.row_start
+        use_stop = min(result_stop, job.stop)
+        if block is not None and use_stop > row_start:
+            self.grid[row_start:use_stop] = block[: use_stop - row_start]
+        if result_stop > use_stop:
+            # Double-completion race: the straggler outran its CANCEL and
+            # computed rows a thief owns.  Both computed identical bytes
+            # (same rows, same halo contract), and the thief's copy is the
+            # one merged — the discard is deterministic by construction.
+            self.rec.count("dist.steal_discarded_rows", result_stop - use_stop)
+        if result_stop > row_start:
+            self.model.observe(
+                self.ekey,
+                worker_key,
+                result_stop - row_start,
+                self.band_pairs(row_start, result_stop),
+                elapsed,
+            )
+        self.records.append(
+            ShardRecord(
+                shard_id=job.shard_id,
+                row_start=row_start,
+                row_stop=use_stop,
+                computed_rows=max(result_stop - row_start, 0),
+                pairs=self.band_pairs(row_start, result_stop),
+                worker=worker_key,
+                elapsed_s=elapsed,
+                predicted_s=predicted,
+                stolen_from=job.stolen_from,
+            )
+        )
+        if snapshot is not None:
             self.snapshots.append(snapshot)
 
-    def add_record(self, record: ShardRecord) -> None:
-        with self.lock:
-            self.records.append(record)
+    # -- work stealing -----------------------------------------------------
+
+    def _maybe_steal(self, att: _Attempt, now: float) -> None:
+        """Evaluate the steal trigger for an attempt in flight; fires at most
+        one steal per call.
+
+        A steal requires: stealing enabled and no failure pending, a
+        primary (depth-0) job under its donation cap, at least
+        ``steal_min_s`` on the clock, a calibrated prediction exceeded
+        ``steal_factor`` times *pool-normal* (so a slow worker is late by the
+        pool's standards, not its own), a worthwhile tail, and an idle
+        worker.  The stolen tail is the unstarted half of the remaining band
+        — except for a repeat steal from a job that has made zero progress
+        (a wedged or napping worker), which donates everything left.  The
+        thief starts on the idle worker that allowed the steal, in this same
+        step, so no second steal can count on that worker.
+        """
+        coord = self.coord
+        job = att.job
+        elapsed = now - att.started
+        if (
+            not coord.steal
+            or self.error is not None
+            or job.depth >= 1
+            or job.steals >= coord.max_steals_per_shard
+            or elapsed < coord.steal_min_s
+        ):
+            return
+        stop = job.stop
+        remaining = stop - (job.row_start + att.rows_done)
+        if remaining <= 0:
+            return
+        predicted = self.predict(job.row_start, stop)
+        if predicted is None:
+            return
+        if elapsed <= coord.steal_factor * max(predicted, 1e-6):
+            return
+        if att.rows_done == 0 and job.steals >= 1:
+            steal_rows = remaining  # wedged straggler: take everything left
+        else:
+            steal_rows = remaining // 2
+            if steal_rows < coord.min_steal_rows:
+                return
+        thief_worker = coord._claim_idle()
+        if thief_worker is None:
+            return
+        steal_start = stop - steal_rows
+        job.stop = steal_start
+        job.steals += 1
+        try:
+            self.rec.count(
+                "dist.bytes_tx",
+                proto.send_msg(
+                    att.worker.sock,
+                    proto.MSG_CANCEL,
+                    {"shard_id": job.shard_id, "row_stop": steal_start},
+                ),
+            )
+            self.rec.count("dist.cancels", 1)
+        except OSError:
+            # The straggler is probably dead; its next read will say so.
+            # The steal stands either way — the thief owns the tail now.
+            pass
+        self.rec.count("dist.steals", 1)
+        self.rec.count("dist.steal_rows", steal_rows)
+        thief = _ShardJob(
+            self._next_shard_id,
+            steal_start,
+            stop,
+            depth=job.depth + 1,
+            stolen_from=job.shard_id,
+        )
+        self._next_shard_id += 1
+        self._start(thief, thief_worker)
 
 
 class Coordinator:
@@ -294,8 +669,9 @@ class Coordinator:
         per-call recorder passed to :meth:`render_sweep`.
 
     Thread safety: multiple threads may call :meth:`render_sweep`
-    concurrently (the tile service's render pool does); workers are checked
-    out under a condition variable so one shard is in flight per worker.
+    concurrently (the tile service's render pool does).  Each render runs
+    its shards on its calling thread; workers are claimed under a
+    condition variable so one shard is in flight per worker.
     """
 
     def __init__(
@@ -419,42 +795,32 @@ class Coordinator:
                 if w.sock is not None and not w.dead
             ]
 
-    def _checkout(self) -> "WorkerAddress | None":
-        """Grab an idle live worker, or ``None`` when none can ever come:
-        blocks only while busy workers might free up.  When several workers
-        are idle, the highest-capacity one wins, so big bands land on fast
-        machines first."""
+    def _claim_idle(self) -> "WorkerAddress | None":
+        """Claim an idle live worker, or ``None`` when none is idle; never
+        blocks.  When several workers are idle, the highest-capacity one
+        wins, so big bands land on fast machines first."""
         with self._cond:
-            while True:
-                idle = [
-                    w
-                    for w in self._workers
-                    if w.sock is not None and not w.dead and not w.busy
-                ]
-                if idle:
-                    if len(idle) > 1:
-                        caps = self.cost_model.capacities(
-                            [w.addr for w in idle]
-                        )
-                        worker = idle[
-                            max(range(len(idle)), key=lambda i: caps[i])
-                        ]
-                    else:
-                        worker = idle[0]
-                    worker.busy = True
-                    return worker
-                if not any(
-                    w.busy for w in self._workers
-                ):  # nobody to wait for
-                    return None
-                self._cond.wait(timeout=0.1)
-
-    def _any_idle(self) -> bool:
-        with self._cond:
-            return any(
-                w.sock is not None and not w.dead and not w.busy
+            idle = [
+                w
                 for w in self._workers
-            )
+                if w.sock is not None and not w.dead and not w.busy
+            ]
+            if not idle:
+                return None
+            caps = self.cost_model.capacities([w.addr for w in idle])
+            worker = idle[max(range(len(idle)), key=lambda i: caps[i])]
+            worker.busy = True
+            return worker
+
+    def _await_worker(self) -> bool:
+        """For a render with nothing in flight and no idle worker: ``False``
+        when no live worker exists at all, else ``True`` after waiting up to
+        0.1 s for a concurrent render to free one."""
+        with self._cond:
+            live = [w for w in self._workers if w.sock is not None and not w.dead]
+            if live and all(w.busy for w in live):
+                self._cond.wait(timeout=0.1)
+            return bool(live)
 
     def _checkin(self, worker: WorkerAddress, dead: bool = False) -> None:
         with self._cond:
@@ -627,113 +993,50 @@ class Coordinator:
             )
             sorted_y = ysorted.sorted_y
 
-            def make_task(shard_id: int, row_start: int, row_stop: int) -> dict:
+            def make_task(
+                shard_id: int, row_start: int, row_stop: int, shared: bool
+            ) -> dict:
                 # The halo is recomputed from the *current* band bounds, so
                 # stolen sub-bands and steal-truncated resubmissions ship
                 # exactly the points their rows need.
                 h0, h1 = band_halo(
                     sorted_y, y_centers, bandwidth, row_start, row_stop
                 )
-                halo = slice(h0, h1)
-                return {
+                if shared:
+                    # Names and integer offsets only, so the TASK frame
+                    # stays under a kilobyte.
+                    inputs = {"halo_start": h0, "halo_stop": h1}
+                else:
+                    halo = slice(h0, h1)
+                    inputs = {
+                        "halo_xy": ysorted.sorted_xy[halo],
+                        "halo_weights": None
+                        if sorted_weights is None
+                        else sorted_weights[halo],
+                        "y_centers": y_centers[row_start:row_stop],
+                        "xs_scaled": xs_scaled,
+                    }
+                task = {
                     "shard_id": shard_id,
                     "row_start": row_start,
                     "row_stop": row_stop,
-                    "halo_xy": ysorted.sorted_xy[halo],
-                    "halo_weights": None
-                    if sorted_weights is None
-                    else sorted_weights[halo],
-                    "y_centers": y_centers[row_start:row_stop],
-                    "xs_scaled": xs_scaled,
+                    **inputs,
                     "cx": cx,
                     "bandwidth": bandwidth,
                     "kernel": kernel_name,
                     "engine": engine,
                     "collect": collect,
                 }
-
-            make_task_shm = None
-            if pair is not None:
-                req_descr = pair.req.descr
-                resp_name = pair.resp.name
-
-                def make_task_shm(
-                    shard_id: int, row_start: int, row_stop: int
-                ) -> dict:
-                    # Same schema minus the arrays: names + integer offsets
-                    # only, so the TASK frame stays under a kilobyte.
-                    h0, h1 = band_halo(
-                        sorted_y, y_centers, bandwidth, row_start, row_stop
-                    )
-                    return {
-                        "shard_id": shard_id,
-                        "row_start": row_start,
-                        "row_stop": row_stop,
-                        "halo_start": h0,
-                        "halo_stop": h1,
-                        "cx": cx,
-                        "bandwidth": bandwidth,
-                        "kernel": kernel_name,
-                        "engine": engine,
-                        "collect": collect,
-                        "shm": {"req": req_descr, "resp": resp_name},
-                    }
+                if shared:
+                    task["shm"] = {"req": pair.req.descr, "resp": pair.resp.name}
+                return task
 
             state = _RenderState(
-                grid,
-                pairs,
-                ekey,
-                self.cost_model,
-                make_task,
-                make_task_shm,
+                self, plan, grid, pairs, ekey, make_task, pair is not None,
                 render_rec,
-                next_shard_id=len(plan),
             )
-            errors: "list[BaseException]" = []
-            errors_lock = threading.Lock()
-
-            work = [s for s in plan if s.rows > 0]
-            # Widest predicted band first: the longest-processing-time order
-            # pairs expensive bands with the fastest idle workers at
-            # dispatch (the capacity-aware _checkout picks them).
-            work.sort(
-                key=lambda s: -state.band_pairs(s.row_start, s.row_stop)
-            )
-            jobs = [
-                _ShardJob(s.shard_id, s.row_start, s.row_stop) for s in work
-            ]
-
-            def run_job(job: _ShardJob) -> None:
-                try:
-                    self._run_shard(job, state)
-                except BaseException as exc:
-                    with errors_lock:
-                        errors.append(exc)
-
             with render_rec.span("dist.dispatch"):
-                if len(jobs) <= 1 or self.num_alive() == 0:
-                    # Nothing to overlap: run shards inline (covers the
-                    # worker-less coordinator and the single-shard plan).
-                    for job in jobs:
-                        run_job(job)
-                        if errors:
-                            break
-                else:
-                    threads = [
-                        threading.Thread(
-                            target=run_job,
-                            name=f"dist-shard-{job.shard_id}",
-                            args=(job,),
-                            daemon=True,
-                        )
-                        for job in jobs
-                    ]
-                    for t in threads:
-                        t.start()
-                    for t in threads:
-                        t.join()
-            if errors:
-                raise errors[0]
+                state.run()
 
             with render_rec.span("dist.merge"):
                 # The blocks were written straight into their row bands above,
@@ -776,7 +1079,7 @@ class Coordinator:
         out_snapshots.append(render_rec.snapshot())
         return len(plan), grid, out_snapshots
 
-    # -- per-shard dispatch ------------------------------------------------
+    # -- transport ---------------------------------------------------------
 
     def _worker_shm_ok(self, worker: WorkerAddress) -> bool:
         """Can this worker take shared-memory tasks?  Requires the HELLO
@@ -789,355 +1092,6 @@ class Coordinator:
             and bool(caps.get("shm"))
             and hello.get("node") == self._node
         )
-
-    def _run_shard(self, job: _ShardJob, state: _RenderState) -> None:
-        """Run one job (and any thieves it spawns) to completion."""
-        try:
-            self._run_shard_primary(job, state)
-        finally:
-            # Thieves write their own disjoint rows; join them so the render
-            # never returns with a band still being filled.
-            for thief in job.thieves:
-                thief.join()
-        if job.thief_errors:
-            raise job.thief_errors[0]
-
-    def _run_shard_primary(self, job: _ShardJob, state: _RenderState) -> None:
-        """Run one job's own band to completion: try workers, retry on death
-        or deadline, fall back to in-process compute when the pool is gone.
-
-        The transport is picked per checkout: an shm-capable worker gets the
-        offsets-only task, everyone else (and the in-process fallback, which
-        has the arrays already) gets the pickle task.  The band may shrink
-        between attempts — steals move its tail to a thief job — so bounds
-        are re-read each pass.
-        """
-        render_rec = state.rec
-        timeouts = 0
-        attempt = 0
-        while True:
-            r0 = job.row_start
-            r1 = job.current_stop()
-            if r1 <= r0:
-                return  # the whole band was stolen away; nothing left to run
-            predicted = state.predict(r0, r1)
-            worker = self._checkout()
-            if worker is None:
-                render_rec.count("dist.local_shards", 1)
-                t0 = time.perf_counter()
-                block, snapshot = compute_shard(
-                    state.make_task(job.shard_id, r0, r1)
-                )
-                elapsed = time.perf_counter() - t0
-                self._finish_attempt(
-                    job, state, "local", r0, r1, block, snapshot,
-                    elapsed, predicted,
-                )
-                return
-            use_shm = state.make_task_shm is not None and self._worker_shm_ok(
-                worker
-            )
-            builder = state.make_task_shm if use_shm else state.make_task
-            task = builder(job.shard_id, r0, r1)
-            t0 = time.perf_counter()
-            try:
-                block, snapshot, result_stop = self._run_on(
-                    worker, task, job, state
-                )
-            except _ShmFailed:
-                # The worker could not map the segments (stale namespace,
-                # permissions, ...): demote it to pickle for the life of the
-                # pool and resubmit — degrade the transport, not the render.
-                state.abandoned = True
-                worker.shm_ok = False
-                render_rec.count("dist.shm_demotions", 1)
-                render_rec.count("dist.retries", 1)
-                self._checkin(worker)
-                continue
-            except _WorkerDied:
-                state.abandoned = True
-                render_rec.count("dist.worker_deaths", 1)
-                render_rec.count("dist.retries", 1)
-                self._checkin(worker, dead=True)
-                attempt += 1
-                continue  # deaths never exhaust the budget; the pool shrinks
-            except _AttemptTimedOut:
-                # The worker may still be computing the stale shard; its
-                # eventual result would desynchronize the stream, so the
-                # connection is abandoned like a death (the worker process
-                # itself survives and will accept a fresh connection).
-                state.abandoned = True
-                render_rec.count("dist.retries", 1)
-                self._checkin(worker, dead=True)
-                timeouts += 1
-                attempt += 1
-                if timeouts > self.max_retries:
-                    raise DistTimeout(
-                        f"shard {task['shard_id']} timed out "
-                        f"{timeouts}x (deadline_s={self.deadline_s}, "
-                        f"max_retries={self.max_retries})"
-                    ) from None
-                time.sleep(
-                    min(
-                        self.backoff_base_s * (2.0 ** (attempt - 1)),
-                        self.backoff_max_s,
-                    )
-                )
-                continue
-            except BaseException:
-                # Task-level failure (the worker is healthy; the shard is
-                # poisoned, e.g. an unknown engine spec): release the worker
-                # before propagating.
-                state.abandoned = True
-                self._checkin(worker)
-                raise
-            else:
-                elapsed = time.perf_counter() - t0
-                self._checkin(worker)
-                self._finish_attempt(
-                    job, state, worker.addr, r0, result_stop, block,
-                    snapshot, elapsed, predicted,
-                )
-                return
-
-    def _finish_attempt(
-        self,
-        job: _ShardJob,
-        state: _RenderState,
-        worker_key: str,
-        row_start: int,
-        result_stop: int,
-        block: "np.ndarray | None",
-        snapshot: "dict | None",
-        elapsed: float,
-        predicted: "float | None",
-    ) -> None:
-        """Commit one successful attempt: write the rows this job still owns
-        (steals may have shrunk it since dispatch — the thief always wins
-        the overlap), feed the calibration, and record the outcome."""
-        final_stop = job.current_stop()
-        use_stop = min(result_stop, final_stop)
-        if block is not None and use_stop > row_start:
-            state.grid[row_start:use_stop] = block[: use_stop - row_start]
-        if result_stop > use_stop:
-            # Double-completion race: the straggler outran its CANCEL and
-            # computed rows a thief owns.  Both computed identical bytes
-            # (same rows, same halo contract), and the thief's copy is the
-            # one merged — the discard is deterministic by construction.
-            state.rec.count("dist.steal_discarded_rows", result_stop - use_stop)
-        if result_stop > row_start:
-            state.model.observe(
-                state.ekey,
-                worker_key,
-                result_stop - row_start,
-                state.band_pairs(row_start, result_stop),
-                elapsed,
-            )
-        state.add_record(
-            ShardRecord(
-                shard_id=job.shard_id,
-                row_start=row_start,
-                row_stop=use_stop,
-                computed_rows=max(result_stop - row_start, 0),
-                pairs=state.band_pairs(row_start, result_stop),
-                worker=worker_key,
-                elapsed_s=elapsed,
-                predicted_s=predicted,
-                stolen_from=job.stolen_from,
-            )
-        )
-        if snapshot is not None:
-            state.add_snapshot(snapshot)
-
-    # -- work stealing -----------------------------------------------------
-
-    def _maybe_steal(
-        self,
-        sock: socket.socket,
-        task: dict,
-        job: _ShardJob,
-        state: _RenderState,
-        rows_done: int,
-        elapsed: float,
-    ) -> None:
-        """Evaluate the steal trigger for an in-flight shard; fires at most
-        one steal per call.
-
-        A steal requires: stealing enabled, a primary (depth-0) job under
-        its donation cap, at least ``steal_min_s`` on the clock, a
-        calibrated prediction exceeded ``steal_factor`` times *pool-normal*
-        (so a slow worker is late by the pool's standards, not its own), an
-        idle worker to do the stealing, and a worthwhile tail.  The stolen
-        tail is the unstarted half of the remaining band — except for a
-        repeat steal from a shard that has made zero progress (a wedged or
-        napping worker), which donates everything left.
-        """
-        if (
-            not self.steal
-            or job.depth >= 1
-            or job.steals >= self.max_steals_per_shard
-            or elapsed < self.steal_min_s
-        ):
-            return
-        stop = job.current_stop()
-        started = job.row_start + rows_done
-        remaining = stop - started
-        if remaining <= 0:
-            return
-        predicted = state.predict(job.row_start, stop)
-        if predicted is None:
-            return
-        if elapsed <= self.steal_factor * max(predicted, 1e-6):
-            return
-        if not self._any_idle():
-            return
-        if rows_done == 0 and job.steals >= 1:
-            steal_rows = remaining  # wedged straggler: take everything left
-        else:
-            steal_rows = remaining // 2
-            if steal_rows < self.min_steal_rows:
-                return
-        steal_start = stop - steal_rows
-        with job.lock:
-            job.stop = steal_start
-            job.steals += 1
-        try:
-            state.rec.count(
-                "dist.bytes_tx",
-                proto.send_msg(
-                    sock,
-                    proto.MSG_CANCEL,
-                    {"shard_id": task["shard_id"], "row_stop": steal_start},
-                ),
-            )
-            state.rec.count("dist.cancels", 1)
-        except OSError:
-            # The straggler is probably dead; the recv loop will notice.
-            # The steal stands either way — the thief owns the tail now.
-            pass
-        state.rec.count("dist.steals", 1)
-        state.rec.count("dist.steal_rows", stop - steal_start)
-        self._spawn_thief(job, state, steal_start, stop)
-
-    def _spawn_thief(
-        self,
-        victim: _ShardJob,
-        state: _RenderState,
-        row_start: int,
-        row_stop: int,
-    ) -> None:
-        """Mint a thief job for a stolen tail and dispatch it concurrently.
-        The victim's dispatch thread joins it before returning."""
-        thief = _ShardJob(
-            state.new_shard_id(),
-            row_start,
-            row_stop,
-            depth=victim.depth + 1,
-            stolen_from=victim.shard_id,
-        )
-
-        def run() -> None:
-            try:
-                self._run_shard(thief, state)
-            except BaseException as exc:
-                victim.thief_errors.append(exc)
-
-        t = threading.Thread(
-            target=run, name=f"dist-steal-{thief.shard_id}", daemon=True
-        )
-        victim.thieves.append(t)
-        t.start()
-
-    def _run_on(
-        self,
-        worker: WorkerAddress,
-        task: dict,
-        job: _ShardJob,
-        state: _RenderState,
-    ) -> "tuple[np.ndarray | None, dict | None, int]":
-        """One dispatch attempt on one worker; raises the private control-flow
-        exceptions on death or deadline expiry.  Returns ``(block, snapshot,
-        result_stop)`` where ``result_stop`` is the exclusive end row the
-        worker actually computed (shorter than the task band when a CANCEL
-        truncated it)."""
-        render_rec = state.rec
-        sock = worker.sock
-        try:
-            render_rec.count(
-                "dist.bytes_tx", proto.send_msg(sock, proto.MSG_TASK, task)
-            )
-        except OSError:
-            raise _WorkerDied() from None
-        dispatched = time.monotonic()
-        last_alive = dispatched
-        rows_done = 0
-        while True:
-            if self.deadline_s is not None:
-                remaining = self.deadline_s - (time.monotonic() - last_alive)
-                if remaining <= 0:
-                    raise _AttemptTimedOut()
-                slice_s = min(0.2, remaining)
-            else:
-                slice_s = 0.5
-            try:
-                msg_type, payload, nbytes = proto.recv_msg(sock, timeout=slice_s)
-            except socket.timeout:
-                self._maybe_steal(
-                    sock, task, job, state, rows_done,
-                    time.monotonic() - dispatched,
-                )
-                continue
-            except (ConnectionClosed, ProtocolError, OSError):
-                raise _WorkerDied() from None
-            render_rec.count("dist.bytes_rx", nbytes)
-            if msg_type == proto.MSG_HEARTBEAT:
-                render_rec.count("dist.heartbeats", 1)
-                last_alive = time.monotonic()
-                if (
-                    isinstance(payload, dict)
-                    and payload.get("shard_id") == task["shard_id"]
-                ):
-                    rows_done = max(
-                        rows_done, int(payload.get("rows_done") or 0)
-                    )
-                self._maybe_steal(
-                    sock, task, job, state, rows_done,
-                    time.monotonic() - dispatched,
-                )
-            elif msg_type == proto.MSG_RESULT:
-                if payload.get("shard_id") != task["shard_id"]:
-                    # A stale result from a previous (timed-out) dispatch on
-                    # a reused connection — cannot happen because timed-out
-                    # connections are abandoned, so treat it as corruption.
-                    raise _WorkerDied()
-                result_stop = int(payload.get("row_stop", task["row_stop"]))
-                if payload.get("shm"):
-                    # The band is already in the response segment.
-                    render_rec.count(
-                        "dist.shm_bytes", int(payload.get("shm_bytes") or 0)
-                    )
-                    return None, payload.get("snapshot"), result_stop
-                return payload["block"], payload.get("snapshot"), result_stop
-            elif msg_type == proto.MSG_ERROR:
-                if payload.get("shm_failed"):
-                    raise _ShmFailed()
-                raise DistError(
-                    f"worker {worker.addr} failed shard "
-                    f"{payload.get('shard_id')}: {payload.get('error')}"
-                )
-            # other frame types (PONG from an earlier probe) are ignored
-
-
-class _WorkerDied(Exception):
-    """Private control flow: the connection broke during an attempt."""
-
-
-class _ShmFailed(Exception):
-    """Private control flow: the worker could not map the shm segments."""
-
-
-class _AttemptTimedOut(Exception):
-    """Private control flow: one attempt exceeded ``deadline_s``."""
 
 
 # -- default-coordinator resolution ---------------------------------------

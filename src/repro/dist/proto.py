@@ -39,7 +39,6 @@ import os
 import pickle
 import socket
 import struct
-import threading
 import zlib
 
 from .errors import ConnectionClosed, ProtocolError
@@ -118,27 +117,19 @@ MSG_NAMES = {
 MAX_PAYLOAD_BYTES = 1 << 31
 
 
-def send_msg(
-    sock: socket.socket,
-    msg_type: int,
-    payload: object = None,
-    lock: "threading.Lock | None" = None,
-) -> int:
+def send_msg(sock: socket.socket, msg_type: int, payload: object = None) -> int:
     """Send one frame; returns the total bytes written.
 
-    ``lock`` serializes writers that share a socket (a worker's compute
-    thread and its heartbeat thread) so frames never interleave.
+    A socket has one writer at a time — the coordinator render that
+    claimed the worker, the worker thread that accepted the connection —
+    so frames never interleave.
     """
     body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     header = HEADER.pack(
         MAGIC, PROTO_VERSION, msg_type, len(body), zlib.crc32(body)
     )
     data = header + body
-    if lock is not None:
-        with lock:
-            sock.sendall(data)
-    else:
-        sock.sendall(data)
+    sock.sendall(data)
     return len(data)
 
 

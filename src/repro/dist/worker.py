@@ -5,28 +5,24 @@ one coordinator connection at a time, performs the version handshake, then
 loops — receive a TASK frame describing one shard (halo point slice, the row
 band's y-centers, sweep configuration), compute the partial grid with the
 requested engine's ``sweep_block`` — the *same* call the serial sweep makes —
-and stream the block back as a RESULT frame.  While a shard is computing, a
-side thread emits HEARTBEAT frames carrying ``rows_done`` progress so the
-coordinator can tell a slow shard from a dead worker — and price how much
-of a straggler's band is still worth stealing.
+and stream the block back as a RESULT frame.
 
 Compute is *chunked and cancellable*: the band is swept a few rows at a
-time (:func:`compute_shard_incremental`), and the receive loop stays live
-during compute, so a CANCEL frame can truncate the shard at a row boundary
-mid-flight.  The worker then returns a normal, shorter RESULT whose
+time (:func:`compute_shard_incremental`) on the thread that serves the
+connection, and between chunks that thread answers it.  A HEARTBEAT
+carrying ``rows_done`` leaves when one is due, so the coordinator can tell
+a slow shard from a dead worker and price how much of a straggler's band
+is still worth stealing; a CANCEL frame truncates the shard at the next
+row boundary.  The worker then returns a normal, shorter RESULT whose
 ``row_stop`` reflects what it actually computed; the stolen tail is
 recomputed bit-identically elsewhere (see ``docs/scheduling.md``).  Chunk
 boundaries never change the numbers — each chunk is the same
 ``sweep_block`` call over the same per-row envelopes the serial sweep makes.
 
-The receive loop is event-driven: it blocks in ``select`` on the
-connection and on a wake-up socket that the compute thread signals when
-the sweep ends, so a frame is handled the moment it arrives and the RESULT
-leaves the moment the last chunk is written — no poll interval sits
-between them.  Over the shared-memory transport the chunks go straight
-into the worker's view of its band in the response segment, and the
-segments stay mapped for the life of the connection
-(:class:`repro.dist.shm.Mappings`).
+The RESULT leaves the moment the last chunk is written.  Over the
+shared-memory transport the chunks go straight into the worker's view of
+its band in the response segment, and the segments stay mapped for the
+life of the connection (:class:`repro.dist.shm.Mappings`).
 
 :func:`compute_shard` is deliberately a standalone pure function: the
 coordinator calls the identical code in-process for graceful degradation
@@ -40,12 +36,13 @@ callables, so a worker only ever executes code from its own installed
 package.
 
 Two fault-injection knobs model degraded workers deterministically:
-``delay_s`` sleeps before computing each shard (heartbeats still flow),
-widening the window in which a worker can be killed or stolen from
-"mid-shard"; ``slow_factor`` stretches compute itself by sleeping between
-row chunks (a ``slow_factor=4`` worker takes ~4x the wall time but
-computes the identical bytes) — the honest way to emulate a throttled
-machine for scheduler tests and the CI ``sched-smoke`` job.  The
+``delay_s`` naps before computing each shard, widening the window in which
+a worker can be killed or stolen from "mid-shard"; ``slow_factor``
+stretches compute itself by pausing between row chunks (a
+``slow_factor=4`` worker takes ~4x the wall time but computes the
+identical bytes) — the honest way to emulate a throttled machine for
+scheduler tests and the CI ``sched-smoke`` job.  Heartbeats keep flowing
+through both waits.  The
 ``ignore_cancel`` knob makes the worker finish a stolen band anyway,
 forcing the double-completion race the steal exactness tests cover.
 """
@@ -53,11 +50,12 @@ forcing the double-completion race the steal exactness tests cover.
 from __future__ import annotations
 
 import os
-import selectors
+import select
 import socket
 import sys
 import threading
 import time
+from collections import deque
 
 import numpy as np
 
@@ -117,7 +115,6 @@ def compute_shard_incremental(
     task: dict,
     chunk_rows: "int | None" = None,
     progress=None,
-    stop_fn=None,
     mappings: "shm.Mappings | None" = None,
 ) -> "tuple[np.ndarray | None, int, dict | None]":
     """Compute one shard's row block a chunk of rows at a time.
@@ -136,10 +133,10 @@ def compute_shard_incremental(
     counters they emit are additive over chunks, so snapshots stay
     serial-equal too).
 
-    ``progress(rows_done)`` is called after each chunk; ``stop_fn()``
-    returns the current band-relative truncation target (rows at or beyond
-    it are skipped — the cooperative CANCEL path).  With neither, the band
-    is computed in one chunk, which is the plain :func:`compute_shard`.
+    ``progress(rows_done)`` is called before the first chunk and after each
+    one, and returns the band-relative row to stop at (rows at or beyond it
+    are skipped — the cooperative CANCEL path).  Without it, the band is
+    computed in one chunk, which is the plain :func:`compute_shard`.
 
     A shared-memory task (one carrying an ``shm`` descriptor instead of
     inline arrays) reads its halo and geometry as zero-copy views of the
@@ -152,20 +149,18 @@ def compute_shard_incremental(
     """
     descr = task.get("shm")
     if descr is None:
-        return _sweep_band(task, None, chunk_rows, progress, stop_fn)
+        return _sweep_band(task, None, chunk_rows, progress)
     own = mappings is None
     if own:
         mappings = shm.Mappings()
     try:
-        return _sweep_shm_band(
-            task, descr, mappings, chunk_rows, progress, stop_fn
-        )
+        return _sweep_shm_band(task, descr, mappings, chunk_rows, progress)
     finally:
         if own:
             mappings.close()
 
 
-def _sweep_shm_band(task, descr, mappings, chunk_rows, progress, stop_fn):
+def _sweep_shm_band(task, descr, mappings, chunk_rows, progress):
     """:func:`_sweep_band` over views of the task's segments.  The views
     live only in this frame, so they are gone before any mapping closes."""
     req = descr["req"]
@@ -184,10 +179,10 @@ def _sweep_shm_band(task, descr, mappings, chunk_rows, progress, stop_fn):
         out = shm.map_band(
             mappings.get(descr["resp"]), req, row_start, len(y_centers)
         )
-    return _sweep_band(task, out, chunk_rows, progress, stop_fn)
+    return _sweep_band(task, out, chunk_rows, progress)
 
 
-def _sweep_band(task, out, chunk_rows, progress, stop_fn):
+def _sweep_band(task, out, chunk_rows, progress):
     """Sweep the task's band chunk by chunk into ``out`` (a response-segment
     view; the block is then ``None``) or into a fresh array."""
     kernel = get_kernel(task["kernel"])
@@ -204,10 +199,10 @@ def _sweep_band(task, out, chunk_rows, progress, stop_fn):
         band = np.empty((total, len(xs_scaled)), dtype=np.float64)
     step = total if not chunk_rows or chunk_rows <= 0 else int(chunk_rows)
     done = 0
-    while done < total:
-        stop = total
-        if stop_fn is not None:
-            stop = max(done, min(total, int(stop_fn())))
+    stop = total
+    while True:
+        if progress is not None:
+            stop = max(done, min(total, int(progress(done))))
         if done >= stop:
             break
         hi = min(done + step, stop)
@@ -224,8 +219,6 @@ def _sweep_band(task, out, chunk_rows, progress, stop_fn):
             recorder=recorder,
         )
         done = hi
-        if progress is not None:
-            progress(done)
     block = None if out is not None else band[:done]
     if recorder is not None:
         recorder.count("dist.shards_computed", 1)
@@ -263,50 +256,14 @@ def parse_ready_line(line: str) -> "tuple[str, int] | None":
         return None
 
 
-class _ShardRun:
-    """Progress and cancellation state for one in-flight shard.
-
-    ``rows_done`` / ``_stop_row`` are band-relative row counts.  The stop
-    row only ever shrinks (CANCELs from repeated steals are monotone), so
-    the compute loop's ``stop_fn`` is race-free without holding the lock
-    across chunks.
-    """
-
-    __slots__ = ("total", "rows_done", "_stop_row", "finished", "_lock", "chunk_t0")
-
-    def __init__(self, total_rows: int) -> None:
-        self.total = max(int(total_rows), 0)
-        self.rows_done = 0
-        self._stop_row = self.total
-        self.finished = threading.Event()
-        self._lock = threading.Lock()
-        self.chunk_t0 = 0.0
-
-    def get_stop(self) -> int:
-        with self._lock:
-            return self._stop_row
-
-    def truncate(self, row_stop: int) -> None:
-        with self._lock:
-            self._stop_row = min(self._stop_row, max(int(row_stop), 0))
-
-    def wait_delay(self, delay_s: float, stop: threading.Event) -> None:
-        """Interruptible fault-injection nap: a truncate-to-zero (the whole
-        band was stolen from a wedged worker) or server stop ends it early."""
-        deadline = time.monotonic() + delay_s
-        while time.monotonic() < deadline:
-            if stop.is_set() or self.get_stop() <= 0:
-                return
-            time.sleep(min(0.05, max(deadline - time.monotonic(), 0.0)))
-
-
 class WorkerServer:
     """One worker process's serve loop.
 
-    Serves coordinator connections sequentially (a worker computes one shard
-    at a time by design — process-level parallelism comes from running more
-    workers).  The loop survives coordinator disconnects: a closed or broken
-    connection just returns it to ``accept``.
+    Serves coordinator connections sequentially, each on the thread that
+    accepted it, which also computes its shards (a worker computes one
+    shard at a time by design — process-level parallelism comes from
+    running more workers).  The loop survives coordinator disconnects: a
+    closed or broken connection just returns it to ``accept``.
     """
 
     def __init__(
@@ -323,7 +280,7 @@ class WorkerServer:
         self.host = host
         self.heartbeat_s = float(heartbeat_s)
         self.delay_s = float(delay_s)
-        #: Stretch compute by sleeping ``(slow_factor - 1) x`` each chunk's
+        #: Stretch compute by pausing ``(slow_factor - 1) x`` each chunk's
         #: wall time between chunks — emulates a throttled machine without
         #: changing a single computed byte.
         self.slow_factor = max(float(slow_factor), 1.0)
@@ -397,37 +354,39 @@ class WorkerServer:
             self._log(f"handshake with {addr} failed: {exc}")
             return
         self._log(f"coordinator connected from {addr}")
-        send_lock = threading.Lock()
         # The segments this coordinator's tasks name stay mapped until it
         # disconnects; every task has dropped its views by then.
         mappings = shm.Mappings()
         try:
-            self._serve_frames(conn, send_lock, mappings)
+            self._serve_frames(conn, mappings)
         finally:
             mappings.close()
 
     def _serve_frames(
-        self,
-        conn: socket.socket,
-        send_lock: threading.Lock,
-        mappings: "shm.Mappings",
+        self, conn: socket.socket, mappings: "shm.Mappings"
     ) -> None:
+        # Frames that arrived while a shard computed and that only this loop
+        # handles (a SHUTDOWN, say), in arrival order.
+        deferred: "deque[tuple[int, object]]" = deque()
         while not self._stop.is_set():
-            try:
-                msg_type, payload, _ = proto.recv_msg(conn, timeout=0.5)
-            except socket.timeout:
-                continue
-            except (ConnectionClosed, OSError):
-                self._log("coordinator disconnected")
-                return
-            except ProtocolError as exc:
-                self._log(f"protocol error: {exc}")
-                return
+            if deferred:
+                msg_type, payload = deferred.popleft()
+            else:
+                try:
+                    msg_type, payload, _ = proto.recv_msg(conn, timeout=0.5)
+                except socket.timeout:
+                    continue
+                except (ConnectionClosed, OSError):
+                    self._log("coordinator disconnected")
+                    return
+                except ProtocolError as exc:
+                    self._log(f"protocol error: {exc}")
+                    return
             if msg_type == proto.MSG_PING:
-                proto.send_msg(conn, proto.MSG_PONG, lock=send_lock)
+                proto.send_msg(conn, proto.MSG_PONG)
             elif msg_type == proto.MSG_TASK:
                 try:
-                    self._handle_task(conn, send_lock, payload, mappings)
+                    self._handle_task(conn, payload, mappings, deferred)
                 except ConnectionClosed as exc:
                     # The coordinator dropped the connection mid-shard (it
                     # abandoned the attempt, or died); the worker lives on
@@ -444,7 +403,7 @@ class WorkerServer:
             elif msg_type == proto.MSG_SHUTDOWN:
                 self._log("shutdown requested")
                 try:
-                    proto.send_msg(conn, proto.MSG_BYE, lock=send_lock)
+                    proto.send_msg(conn, proto.MSG_BYE)
                 except OSError:
                     pass
                 self._stop.set()
@@ -460,128 +419,123 @@ class WorkerServer:
     def _handle_task(
         self,
         conn: socket.socket,
-        send_lock: threading.Lock,
         task: dict,
         mappings: "shm.Mappings",
+        deferred: "deque[tuple[int, object]]",
     ) -> None:
-        """Compute one shard while keeping the receive loop live.
+        """Compute one shard on this thread, answering the connection
+        between row chunks.
 
-        The sweep runs on a side thread in ``chunk_rows`` slices; this
-        thread blocks in ``select`` on the connection and on a wake-up
-        socket the compute thread signals when it ends.  A frame is handled
-        as soon as it arrives — a CANCEL truncates the shard mid-compute,
-        PINGs stay answered — and the RESULT is sent as soon as the sweep
-        ends.  Heartbeats carry ``rows_done`` so the coordinator can price
-        the remaining work.
+        The sweep runs ``chunk_rows`` rows at a time.  After each chunk a
+        heartbeat carrying ``rows_done`` leaves if one is due, and every
+        frame that has arrived is handled: a CANCEL truncates the shard, a
+        PING gets its PONG, a BYE or EOF stops the shard at the next chunk
+        and drops the connection, and anything else waits in ``deferred``
+        for the serve loop, which sees it after the RESULT.  The RESULT
+        leaves as soon as the last chunk is written.
         """
         shard_id = task.get("shard_id")
         row_start = int(task.get("row_start") or 0)
         total_rows = int(task.get("row_stop") or 0) - row_start
-        run = _ShardRun(total_rows)
-        outcome: dict = {}
-        wake_recv, wake_send = socket.socketpair()
+        # Band-relative: rows computed so far, and the truncation target,
+        # which only ever shrinks (CANCELs from repeated steals are
+        # monotone).
+        rows_done = 0
+        stop_row = max(total_rows, 0)
+        gone = False  # the coordinator said BYE or dropped the connection
+        next_beat = time.monotonic() + self.heartbeat_s
 
-        def on_progress(rows_done: int) -> None:
-            if self.slow_factor > 1.0:
-                # Fault injection: stretch each chunk's wall time by the
-                # throttle factor without touching the computed bytes.
-                elapsed = time.perf_counter() - run.chunk_t0
-                self._stop.wait(elapsed * (self.slow_factor - 1.0))
-            run.rows_done = rows_done
-            run.chunk_t0 = time.perf_counter()
-
-        def compute() -> None:
-            try:
-                if self.delay_s > 0:
-                    # Testing knob: widen the compute window (heartbeats
-                    # flow; a truncate-to-zero ends the nap early).
-                    run.wait_delay(self.delay_s, self._stop)
-                run.chunk_t0 = time.perf_counter()
-                block, rows, snapshot = compute_shard_incremental(
-                    task,
-                    chunk_rows=self.chunk_rows,
-                    progress=on_progress,
-                    stop_fn=run.get_stop,
-                    mappings=mappings,
-                )
-                outcome["block"] = block
-                outcome["rows"] = rows
-                outcome["snapshot"] = snapshot
-            except Exception as exc:
-                # Keep the message, not the exception: its traceback would
-                # hold the frames' shared-memory views past this task.
-                outcome["error"] = f"{type(exc).__name__}: {exc}"
-                # Lets the coordinator tell a broken shm mapping (demote to
-                # pickle and resubmit) from a poisoned shard (propagate).
-                outcome["shm_failed"] = isinstance(exc, shm.ShmError)
-            finally:
-                run.finished.set()
-                wake_send.send(b"\0")
-
-        heartbeat = threading.Thread(
-            target=self._heartbeat_loop,
-            args=(conn, send_lock, shard_id, run),
-            daemon=True,
-        )
-        heartbeat.start()
-        worker = threading.Thread(
-            target=compute, name=f"dist-compute:{shard_id}", daemon=True
-        )
-        worker.start()
-        conn_ok = True
-        with wake_recv, wake_send, selectors.DefaultSelector() as selector:
-            selector.register(conn, selectors.EVENT_READ)
-            selector.register(wake_recv, selectors.EVENT_READ)
-            while True:
-                selector.select()
-                # The wake-up wins a tie: frames that arrive with the
-                # sweep's end wait for the serve loop, after the RESULT.
-                if run.finished.is_set():
-                    break
+        def answer(timeout: float) -> None:
+            """Send a heartbeat if one is due, then handle every frame that
+            has arrived, waiting up to ``timeout`` for the first."""
+            nonlocal stop_row, gone, next_beat
+            now = time.monotonic()
+            if self.heartbeat_s > 0 and now >= next_beat and not gone:
+                next_beat = now + self.heartbeat_s
+                try:
+                    proto.send_msg(
+                        conn,
+                        proto.MSG_HEARTBEAT,
+                        {"shard_id": shard_id, "rows_done": rows_done},
+                    )
+                except OSError:
+                    gone = True
+            while not gone and select.select([conn], [], [], timeout)[0]:
+                timeout = 0.0
                 try:
                     msg_type, payload, _ = proto.recv_msg(conn, timeout=0.5)
-                except socket.timeout:
-                    continue
                 except (ConnectionClosed, ProtocolError, OSError):
-                    # Nobody will read this result; stop at the next chunk
-                    # boundary instead of finishing a band for no one.
-                    conn_ok = False
-                    run.truncate(run.rows_done)
+                    gone = True
                     break
                 if msg_type == proto.MSG_PING:
                     try:
-                        proto.send_msg(conn, proto.MSG_PONG, lock=send_lock)
+                        proto.send_msg(conn, proto.MSG_PONG)
                     except OSError:
                         pass
                 elif msg_type == proto.MSG_CANCEL and isinstance(payload, dict):
                     if payload.get("shard_id") == shard_id and not self.ignore_cancel:
                         target = int(payload.get("row_stop", row_start)) - row_start
-                        run.truncate(target)
+                        stop_row = min(stop_row, max(target, 0))
                         self._log(
                             f"shard {shard_id} truncated at band row "
                             f"{max(target, 0)} (tail stolen)"
                         )
                 elif msg_type == proto.MSG_BYE:
-                    conn_ok = False
-                    run.truncate(run.rows_done)
-                    break
+                    gone = True
                 else:
-                    # SHUTDOWN and anything else waits until the shard
-                    # returns; the outer serve loop owns those transitions.
+                    deferred.append((msg_type, payload))
                     self._log(
                         f"deferring {proto.MSG_NAMES.get(msg_type, msg_type)} "
                         f"frame until shard {shard_id} completes"
                     )
-            # The wake-up socket stays open until the compute thread that
-            # signals it is done.
-            worker.join()
-        run.finished.set()
-        heartbeat.join()
-        if not conn_ok:
+            if gone:
+                # Nobody will read this result; stop at the next chunk
+                # boundary instead of finishing a band for no one.
+                stop_row = min(stop_row, rows_done)
+
+        def nap(seconds: float) -> None:
+            """A fault-injection pause that keeps answering the connection;
+            a truncate-to-zero (the whole band was stolen from a wedged
+            worker), a dropped connection or :meth:`stop` ends it early."""
+            deadline = time.monotonic() + seconds
+            while stop_row > 0 and not gone and not self._stop.is_set():
+                now = time.monotonic()
+                if now >= deadline:
+                    return
+                answer(min(deadline - now, 0.05))
+
+        def on_progress(done: int) -> int:
+            nonlocal rows_done, chunk_t0
+            if self.slow_factor > 1.0:
+                # Stretch each chunk's wall time by the throttle factor
+                # without touching the computed bytes.
+                nap((time.perf_counter() - chunk_t0) * (self.slow_factor - 1.0))
+            rows_done = done
+            answer(0.0)
+            chunk_t0 = time.perf_counter()
+            return stop_row
+
+        error = None
+        try:
+            if self.delay_s > 0:
+                nap(self.delay_s)
+            chunk_t0 = time.perf_counter()
+            block, rows, snapshot = compute_shard_incremental(
+                task,
+                chunk_rows=self.chunk_rows,
+                progress=on_progress,
+                mappings=mappings,
+            )
+        except Exception as exc:
+            # Keep the message, not the exception: its traceback would
+            # hold the frames' shared-memory views past this task.
+            error = f"{type(exc).__name__}: {exc}"
+            # Lets the coordinator tell a broken shm mapping (demote to
+            # pickle and resubmit) from a poisoned shard (propagate).
+            shm_failed = isinstance(exc, shm.ShmError)
+        if gone:
             raise ConnectionClosed("coordinator went away mid-shard")
-        error = outcome.get("error")
         if error is None:
-            rows = int(outcome["rows"])
             reply_type = proto.MSG_RESULT
             reply = {
                 "shard_id": shard_id,
@@ -589,27 +543,27 @@ class WorkerServer:
                 # What this worker actually computed — shorter than the task
                 # band when a CANCEL truncated it.
                 "row_stop": row_start + rows,
-                "snapshot": outcome["snapshot"],
+                "snapshot": snapshot,
                 "pid": os.getpid(),
             }
-            if outcome["block"] is None:
+            if block is None:
                 # Zero-copy return: the band is already in the response
                 # segment; the RESULT frame stays tiny.
                 width = int(task["shm"]["req"]["width"])
                 reply["shm_bytes"] = rows * width * np.dtype(np.float64).itemsize
                 reply["shm"] = True
             else:
-                reply["block"] = outcome["block"]
+                reply["block"] = block
         else:
             reply_type = proto.MSG_ERROR
             reply = {
                 "shard_id": shard_id,
                 "error": error,
-                "shm_failed": outcome["shm_failed"],
+                "shm_failed": shm_failed,
             }
             self._log(f"shard {shard_id} failed: {error}")
         try:
-            proto.send_msg(conn, reply_type, reply, lock=send_lock)
+            proto.send_msg(conn, reply_type, reply)
         except OSError:
             self._log(f"could not return shard {shard_id}; coordinator gone")
             raise ConnectionClosed("coordinator went away mid-result") from None
@@ -618,23 +572,3 @@ class WorkerServer:
             self._log(
                 f"shard {shard_id} done ({rows}/{max(total_rows, 0)} rows)"
             )
-
-    def _heartbeat_loop(
-        self,
-        conn: socket.socket,
-        send_lock: threading.Lock,
-        shard_id,
-        run: "_ShardRun",
-    ) -> None:
-        if self.heartbeat_s <= 0:
-            return
-        while not run.finished.wait(self.heartbeat_s):
-            try:
-                proto.send_msg(
-                    conn,
-                    proto.MSG_HEARTBEAT,
-                    {"shard_id": shard_id, "rows_done": run.rows_done},
-                    lock=send_lock,
-                )
-            except OSError:
-                return

@@ -41,16 +41,21 @@ span
     its depth and start offset — the right tool for the handful of
     coarse-grained phases per computation (``index_build``, ``sweep``).
     Span exits also feed the phase timer of the same name, so phase totals
-    are complete whichever primitive a call site used.
+    are complete whichever primitive a call site used.  A recorder keeps
+    only the newest :data:`MAX_SPANS` spans, so a long-lived one (a tile
+    service's, a coordinator's) stays bounded; counters and phase timers
+    stay exact.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from time import perf_counter
 
 __all__ = [
     "RECORDER_SCHEMA",
+    "MAX_SPANS",
     "Recorder",
     "NullRecorder",
     "NULL_RECORDER",
@@ -65,6 +70,10 @@ __all__ = [
 #: Versioned tag embedded in every snapshot so downstream consumers (bench
 #: reports, CI validation) can detect incompatible dumps.
 RECORDER_SCHEMA = "repro.obs.recorder/1"
+
+#: Spans a recorder keeps, newest last; older ones are dropped.  One
+#: computation records a handful, so only long-lived recorders reach it.
+MAX_SPANS = 256
 
 
 class Counter:
@@ -174,7 +183,7 @@ class Recorder:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._timers: dict[str, PhaseTimer] = {}
-        self._spans: list[dict] = []
+        self._spans: "deque[dict]" = deque(maxlen=MAX_SPANS)
         self._epoch = perf_counter()
         self._local = threading.local()
 
@@ -272,10 +281,11 @@ class Recorder:
     def merge(self, other: "Recorder | dict") -> None:
         """Fold another recorder (or its snapshot) into this one.
 
-        Counters and phase totals add; spans append (their start offsets are
-        relative to the *donor's* epoch, so merged spans describe durations,
-        not a shared timeline).  This is how per-block worker recorders
-        combine: merged counters equal the serial sweep's counts exactly.
+        Counters and phase totals add; spans append, keeping the newest
+        :data:`MAX_SPANS` (their start offsets are relative to the *donor's*
+        epoch, so merged spans describe durations, not a shared timeline).
+        This is how per-block worker recorders combine: merged counters
+        equal the serial sweep's counts exactly.
         """
         snap = other.snapshot() if isinstance(other, Recorder) else other
         for name, value in snap.get("counters", {}).items():
@@ -288,7 +298,7 @@ class Recorder:
         spans = snap.get("spans", [])
         if spans:
             with self._lock:
-                self._spans.extend(dict(s) for s in spans)
+                self._spans.extend(dict(s) for s in spans[-MAX_SPANS:])
 
     def summary(self) -> str:
         """Human-readable phase/counter breakdown (the CLI ``--stats`` view)."""

@@ -9,6 +9,7 @@ genuine process death, and assert the pool leaves no orphans behind.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
@@ -25,8 +26,10 @@ from repro.dist import (
     WorkerServer,
     engine_spec,
     launch_local_workers,
+    proto,
     resolve_engine,
 )
+from repro.dist.coordinator import _RenderState
 from repro.serve import TileService
 
 
@@ -111,6 +114,27 @@ class TestSocketParity:
                 )
                 assert np.array_equal(serial.grid, dist.grid)
 
+    def test_interrupted_render_releases_its_workers(
+        self, xy, workers, monkeypatch
+    ):
+        """A render stopped mid-flight (here by a KeyboardInterrupt from its
+        frame handler) checks in every worker it claimed, so the next
+        render runs on the pool."""
+        addrs = [("127.0.0.1", s.port) for s in workers]
+        with Coordinator(addrs, shards=4) as coord:
+            def interrupt(state, att):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(_RenderState, "_on_frame", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                compute_kdv(xy, backend="dist", coordinator=coord, **KW)
+            monkeypatch.undo()
+            assert not any(w.busy for w in coord._workers)
+            assert coord.connect() == 2
+            dist = compute_kdv(xy, backend="dist", coordinator=coord, **KW)
+            assert np.array_equal(compute_kdv(xy, **KW).grid, dist.grid)
+            assert coord.recorder.counter_value("dist.local_shards") == 0
+
     def test_explicit_shard_count_honored(self, xy, workers):
         with Coordinator(
             [("127.0.0.1", s.port) for s in workers], shards=5
@@ -138,6 +162,44 @@ class TestGracefulDegradation:
             assert np.array_equal(compute_kdv(xy, **KW).grid, dist.grid)
             assert coord.recorder.counter_value("dist.local_shards") == 4
             assert coord.recorder.counter_value("dist.bytes_tx") == 0
+
+
+class TestWorkerFrames:
+    def test_shutdown_reaches_a_busy_worker(self):
+        """A SHUTDOWN that arrives mid-shard waits for the shard: the worker
+        answers RESULT, then BYE, and its serve loop returns."""
+        srv = WorkerServer(port=0, delay_s=0.6, heartbeat_s=0.05)
+        thread = srv.start_in_thread()
+        sock = socket.create_connection(("127.0.0.1", srv.port), timeout=5.0)
+        task = {
+            "shard_id": 0, "row_start": 0, "row_stop": 1,
+            "halo_xy": np.array([[0.0, 0.0], [1.0, 0.5]]),
+            "halo_weights": None, "y_centers": np.array([0.0]),
+            "xs_scaled": np.linspace(-1.0, 2.0, 8), "cx": 0.0,
+            "bandwidth": 1.0, "kernel": "epanechnikov",
+            "engine": engine_spec(ENGINES["slam_bucket.numpy"]),
+            "collect": False,
+        }
+        frames = []
+        try:
+            proto.client_handshake(sock)
+            proto.send_msg(sock, proto.MSG_TASK, task)
+            time.sleep(0.2)
+            proto.send_msg(sock, proto.MSG_SHUTDOWN)
+            while proto.MSG_BYE not in frames:
+                try:
+                    msg_type, _, _ = proto.recv_msg(sock, timeout=1.0)
+                except socket.timeout:
+                    break
+                if msg_type != proto.MSG_HEARTBEAT:
+                    frames.append(msg_type)
+            assert frames == [proto.MSG_RESULT, proto.MSG_BYE]
+            thread.join(timeout=2.0)
+            assert not thread.is_alive()
+        finally:
+            sock.close()
+            srv.stop()
+            thread.join(timeout=5.0)
 
 
 class TestFaultInjection:

@@ -83,27 +83,6 @@ class TestFraming:
             assert msg_type == proto.MSG_HEARTBEAT
             assert payload == {"seq": i}
 
-    def test_shared_lock_serializes_writers(self, pair):
-        a, b = pair
-        lock = threading.Lock()
-        n_frames = 40
-
-        def spam(tag):
-            for _ in range(n_frames):
-                proto.send_msg(a, proto.MSG_HEARTBEAT, tag, lock=lock)
-
-        threads = [threading.Thread(target=spam, args=(t,)) for t in ("x", "y")]
-        for t in threads:
-            t.start()
-        seen = []
-        for _ in range(2 * n_frames):
-            msg_type, payload, _ = proto.recv_msg(b, timeout=5.0)
-            assert msg_type == proto.MSG_HEARTBEAT
-            seen.append(payload)
-        for t in threads:
-            t.join()
-        assert sorted(seen) == ["x"] * n_frames + ["y"] * n_frames
-
 
 class TestCorruption:
     def test_bad_magic(self, pair):

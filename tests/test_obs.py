@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import compute_kdv
+from repro.obs import recorder as recorder_mod
 from repro.obs import (
     NULL_RECORDER,
     RECORDER_SCHEMA,
@@ -213,6 +214,42 @@ class TestMerge:
         for snap in reversed(parts):
             right.merge(snap)
         assert left.counter_value("x") == right.counter_value("x") == 6
+
+
+class TestSpanBound:
+    """A long-lived recorder (a tile service's, a coordinator's) records a
+    span per request or render; it keeps only the newest ones."""
+
+    def test_keeps_newest_spans_and_exact_timers(self):
+        bound = recorder_mod.MAX_SPANS
+        rec = Recorder()
+        for _ in range(10):
+            with rec.span("old"):
+                pass
+        for i in range(bound):
+            with rec.span("new"):
+                pass
+        spans = rec.snapshot()["spans"]
+        assert len(spans) == bound
+        assert {s["name"] for s in spans} == {"new"}
+        assert rec.timer("old").calls == 10
+        assert rec.timer("new").calls == bound
+
+    def test_merge_of_full_recorders_stays_bounded(self):
+        bound = recorder_mod.MAX_SPANS
+        a, b = Recorder(), Recorder()
+        for _ in range(bound):
+            with a.span("a"):
+                pass
+            with b.span("b"):
+                pass
+        a.merge(b)
+        a.merge(b.snapshot())
+        spans = a.snapshot()["spans"]
+        assert len(spans) == bound
+        assert {s["name"] for s in spans} == {"b"}
+        assert a.timer("a").calls == bound
+        assert a.timer("b").calls == 2 * bound
 
 
 class TestThreadSafety:

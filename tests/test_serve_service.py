@@ -13,6 +13,7 @@ The two proofs the serving subsystem stands on are pinned here:
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -517,6 +518,18 @@ class TestValidationAndIntrospection:
         assert hits + misses == len(keys)
         assert misses == len(set(keys))
         assert rec.timer("tiles.render").calls == len(set(keys))
+        service.close()
+
+    def test_metricz_stays_bounded_over_ingests(self, points, scheme):
+        """Each ingest records a span; the ``/metricz`` payload keeps only
+        the newest, so 2,000 ingests leave it small (about 214 KB when every
+        span was kept) while the ingest timer still counts every one."""
+        service = make_service(points, scheme)
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            service.ingest(rng.uniform(0.0, 1000.0, (1, 2)))
+        assert len(json.dumps(service.stats())) < 64_000
+        assert service.recorder.timer("serve.ingest").calls == 2000
         service.close()
 
     def test_tile_image_stable_scale(self, points, scheme):
